@@ -1,41 +1,46 @@
-"""Vectorized batch engine: lockstep execution of replica ensembles.
+"""The plane engine: lockstep execution of B ≥ 1 replicas.
 
 Every quantitative claim in this repo is validated over *ensembles* —
 (seed × input family × schedule) grids of runs that share one
 configuration (same algorithm, same topology, same ``n``) and differ
-only in their identifiers and activation streams.  The fast-path
-engine (:mod:`repro.model.fastpath`) executes those replicas one at a
-time; this module executes ``B`` of them *in lockstep*: private state,
-register images and per-process clocks live in ``(B, n)`` arrays, the
+only in their identifiers and activation streams — and every scaling
+claim is validated on single runs at ``n = 10⁶⁺``.  Both are the same
+computation: the paper's Equation (1) round (publish, read both
+neighbors, private update) over whole activation sets.  This module
+executes ``B`` replicas *in lockstep*: private state, register images
+and per-process bookkeeping live in flat ``B × (n + 1)`` planes, the
 schedulers hand out whole per-lockstep activation rows through the
 vectorized :meth:`~repro.model.schedule.Schedule.steps_batch` API, and
-one pass of array operations advances every replica at once.
+one pass of array operations advances every activated process of every
+replica at once.  A single run is the case ``B = 1`` — the engine name
+``"wide"`` (:mod:`repro.model.wide`) is that label.
 
 Correctness discipline is inherited unchanged from
 :mod:`repro.model.kernels`: a batched run must reproduce the per-run
 engines' :class:`~repro.model.execution.ExecutionResult` replica by
 replica, *bit-identically* — outputs, activation counts, return times,
 final times, ``time_exhausted`` flags and final states.  The
-differential harness (``tests/model/test_batch_equivalence.py``) pins
+differential harnesses (``tests/model/test_batch_equivalence.py`` and
+the engine matrix in ``tests/model/test_fastpath_equivalence.py``) pin
 this for every registered algorithm, across ragged termination (each
 replica retires the moment its own run ends — exhausted schedule,
 ``max_time``, idle cutoff, or everyone returned — without perturbing
 the others) and crash-plan schedules.
 
 numpy is an *optional accelerator*: when it is importable (and not
-disabled via :data:`NUMPY_ENV_FLAG`) the batched kernels run fully
-vectorized, including a bank of CPython-identical Mersenne Twister
-streams (:class:`MTBatch`) so that Bernoulli activation masks match
-``random.Random`` double for double.  Without numpy the same lockstep
-driver runs over plain Python lists — slower, but dependency-free and
-bit-identical, so the core library still has no hard requirements.
+disabled via :data:`NUMPY_ENV_FLAG`) the kernels run fully vectorized,
+including a bank of CPython-identical Mersenne Twister streams
+(:class:`MTBatch`) so that Bernoulli activation masks match
+``random.Random`` double for double.  Without numpy — and for
+identifiers too large for exact int64 lanes — each replica runs
+through the scalar kernel of :mod:`repro.model.kernels` instead,
+bit-identical by construction, so the core library still has no hard
+requirements.
 
 Like the scalar kernels, batched kernels are looked up by *exact*
 algorithm type (:data:`BATCH_KERNELS`) and must decline (return
 ``None``) whenever they cannot guarantee equivalence — unsupported
-topology degree, heterogeneous ablation flags, or (numpy tier only)
-identifiers too large for exact float64 bit-twiddling, in which case
-the pure-Python tier takes over automatically.
+topology degree or heterogeneous ablation flags.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Mapping as _MappingABC
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from time import perf_counter
 from time import time as wall_clock
@@ -74,8 +79,8 @@ __all__ = [
 ]
 
 #: Set this environment variable to a non-empty value (other than "0")
-#: to force the pure-Python fallback even when numpy is importable —
-#: the switch the no-numpy CI leg and the differential tests use.
+#: to force the scalar tier even when numpy is importable — the switch
+#: the no-numpy CI leg and the differential tests use.
 NUMPY_ENV_FLAG = "REPRO_BATCH_DISABLE_NUMPY"
 
 #: ``r = ∞`` sentinel of the numpy tier: the green-light counter lives
@@ -272,7 +277,10 @@ def batched_steps(schedules: Sequence[Schedule], n: int, flags: List[bool]):
 #: ``factory(algorithms, topology, inputs_list) -> Optional[runner]``
 #: where ``runner(schedules, max_time, idle_limit)`` returns
 #: ``(results, stats)`` — one ``ExecutionResult`` per replica plus the
-#: occupancy statistics ``{"locksteps": int, "live_sum": int}``.
+#: run statistics: ``tier`` (``"vector"`` or ``"scalar"``), lockstep
+#: and live-replica counts (``locksteps``, ``live_sum``) and
+#: non-idle steps with their working-set total (``work_steps``,
+#: ``working_sum``).
 BATCH_KERNELS: Dict[Type, Callable] = {}
 
 
@@ -309,7 +317,7 @@ def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
 
     The numpy tier keeps identifiers in int64 lanes and derives bit
     lengths through ``frexp``, which is exact only below ``2**53`` —
-    the ``huge`` input family (256-bit ids) must take the pure tier,
+    the ``huge`` input family (256-bit ids) must take the scalar tier,
     as must any non-integer identifiers (which numpy would silently
     coerce; ``bool`` is fine, ``True == 1`` survives the round trip).
     """
@@ -326,21 +334,36 @@ def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
 
 
 def _row_to_ids(row: Any) -> Sequence[int]:
-    """Normalize a steps_batch row to an id sequence (pure tier)."""
+    """Normalize a steps_batch row (id sequence or mask) to ids."""
     if isinstance(row, (list, tuple, range, frozenset, set)):
         return row
-    # A numpy mask row (Bernoulli may vectorize even when the kernel
-    # itself runs the pure tier, e.g. under huge identifiers).
     return row.nonzero()[0].tolist()
 
 
 # ----------------------------------------------------------------------
-# Lockstep drivers (bookkeeping shared by all kernel families)
+# The lockstep driver (clockwork shared by both kernel families)
 # ----------------------------------------------------------------------
 
-def _drive_numpy(np, schedules, n, B, max_time, idle_limit, undone,
-                 remaining, step_cells):
-    """Numpy lockstep driver: assemble masks, retire replicas, step.
+def _working(np, row: Any, undone_row, everyone: range):
+    """The not-yet-returned process ids of one activation row.
+
+    A row is a boolean mask, the full ``range(n)`` of the synchronous
+    scheduler, or any other id sequence; each form is compacted in
+    O(its own size) — a sparse step never scans the whole plane.
+    """
+    if isinstance(row, np.ndarray):
+        return np.flatnonzero(row & undone_row)
+    if row == everyone:
+        return np.flatnonzero(undone_row)
+    if isinstance(row, range):
+        ids = np.arange(row.start, row.stop, row.step)
+    else:
+        ids = np.fromiter(row, dtype=np.int64, count=len(row))
+    return ids[undone_row.take(ids)] if ids.size else ids
+
+
+def _drive(np, schedules, n, max_time, idle_limit, step_cells):
+    """Run ``B = len(schedules)`` replicas in lockstep over flat planes.
 
     Per-replica clocks replicate the scalar kernel loop exactly: a
     ``None`` row ends the run without advancing time; stepping past
@@ -349,129 +372,104 @@ def _drive_numpy(np, schedules, n, B, max_time, idle_limit, undone,
     retired the moment nothing remains for it — matching the scalar
     engine, whose next drawn step would be discarded unused.
 
-    The working set is handed to ``step_cells`` as *flat* cell indices
-    into the kernels' ``B × (n + 1)`` planes (column ``n`` is the
-    kernels' sentinel slot and never activates), together with the
-    replica index of each cell and the per-replica clock vector —
-    compact arrays sized by the live frontier, not by ``B × n``.
-    ``undone`` is the kernel-owned not-yet-returned plane.
+    Cell ``(b, p)`` of a ``B × (n + 1)`` plane lives at flat index
+    ``b·(n+1) + p``; column ``n`` is the kernels' sentinel and never
+    activates.  Each lockstep hands ``step_cells`` the working cells of
+    every live replica as one flat index array — sized by the live
+    frontier, not by ``B × n`` — and gets back the cells that returned
+    (or ``None``).  The driver owns everything that is not
+    algorithm-specific: the not-returned plane, return times and
+    activation counts.
     """
+    B = len(schedules)
     N1 = n + 1
+    size = B * N1
+    undone = np.zeros((B, N1), dtype=bool)
+    undone[:, :n] = True
+    undone_f = undone.reshape(-1)
+    rows_undone = [undone[b, :n] for b in range(B)]
+    ret_time = np.zeros(size, dtype=np.int64)
+    act = np.zeros(size, dtype=np.int64)
+    # Activation counts are folded in with one bincount per ``size``
+    # activations, not a fancy ``+= 1`` per step.
+    fronts: List[Any] = []
+    front_len = 0
+    everyone = range(n)
+    remaining = [n] * B
     flags = [True] * B
     times = [0] * B
     idle = [0] * B
     exhausted = [False] * B
     live = B
-    locksteps = 0
-    live_sum = 0
-    W = np.zeros((B, N1), dtype=bool)
-    Wn = W[:, :n]
-    Wf = W.reshape(-1)
-    tvec = np.zeros(B, dtype=np.int64)
+    locksteps = live_sum = work_steps = working_sum = 0
     merged = batched_steps(schedules, n, flags)
     while live:
         rows = next(merged)
         locksteps += 1
         live_sum += live
-        W[:] = False
+        parts = []
         stepping = []
         for b in range(B):
             if not flags[b]:
                 continue
             row = rows[b]
-            if row is None:
-                flags[b] = False
-                live -= 1
-                continue
-            if times[b] >= max_time:
-                exhausted[b] = True
+            if row is None or times[b] >= max_time:
+                exhausted[b] = row is not None
                 flags[b] = False
                 live -= 1
                 continue
             times[b] += 1
-            tvec[b] = times[b]
-            if isinstance(row, np.ndarray):
-                Wn[b] = row
-            else:
-                Wn[b, list(row)] = True
-            stepping.append(b)
-        if not stepping:
-            continue
-        np.logical_and(W, undone, out=W)
-        wc = W.sum(axis=1)
-        any_work = False
-        for b in stepping:
-            if wc[b] == 0:
-                idle[b] += 1
-                if idle_limit and idle[b] >= idle_limit:
-                    flags[b] = False
-                    live -= 1
-            else:
+            cells = _working(np, row, rows_undone[b], everyone)
+            if cells.size:
                 idle[b] = 0
-                any_work = True
-        if not any_work:
-            continue
-        flat = np.flatnonzero(Wf)
-        step_cells(flat, flat // N1, tvec)
-        for b in stepping:
-            if wc[b] and remaining[b] == 0:
-                flags[b] = False
-                live -= 1
-    return times, exhausted, {"locksteps": locksteps, "live_sum": live_sum}
-
-
-def _drive_pure(schedules, n, B, max_time, idle_limit, done, remaining,
-                step_one):
-    """Pure-Python lockstep driver: same clockwork over plain lists.
-
-    ``step_one(b, working, time)`` executes one replica's step and
-    returns how many of its processes returned; ``done[b]`` /
-    ``remaining[b]`` are maintained here.
-    """
-    flags = [True] * B
-    times = [0] * B
-    idle = [0] * B
-    exhausted = [False] * B
-    live = B
-    locksteps = 0
-    live_sum = 0
-    merged = batched_steps(schedules, n, flags)
-    while live:
-        rows = next(merged)
-        locksteps += 1
-        live_sum += live
-        for b in range(B):
-            if not flags[b]:
-                continue
-            row = rows[b]
-            if row is None:
-                flags[b] = False
-                live -= 1
-                continue
-            if times[b] >= max_time:
-                exhausted[b] = True
-                flags[b] = False
-                live -= 1
-                continue
-            times[b] += 1
-            done_b = done[b]
-            working = [p for p in _row_to_ids(row) if not done_b[p]]
-            if not working:
+                parts.append(cells + b * N1 if b else cells)
+                stepping.append(b)
+            else:
                 idle[b] += 1
                 if idle_limit and idle[b] >= idle_limit:
                     flags[b] = False
                     live -= 1
-                continue
-            idle[b] = 0
-            remaining[b] -= step_one(b, working, times[b])
-            if remaining[b] == 0:
+        if not parts:
+            continue
+        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        work_steps += 1
+        working_sum += flat.size
+        fronts.append(flat)
+        front_len += flat.size
+        if front_len >= size:
+            act += np.bincount(np.concatenate(fronts), minlength=size)
+            fronts = []
+            front_len = 0
+        returned = step_cells(flat)
+        if returned is None:
+            continue
+        undone_f[returned] = False
+        if B == 1:
+            ret_time[returned] = times[0]
+            counts = [returned.size]
+        else:
+            owner = returned // N1
+            ret_time[returned] = np.array(times).take(owner)
+            counts = np.bincount(owner, minlength=B).tolist()
+        for b in stepping:
+            remaining[b] -= counts[b]
+            if not remaining[b]:
                 flags[b] = False
                 live -= 1
-    return times, exhausted, {"locksteps": locksteps, "live_sum": live_sum}
+    if fronts:
+        act += np.bincount(np.concatenate(fronts), minlength=size)
+    stats = {
+        "tier": "vector",
+        "locksteps": locksteps,
+        "live_sum": live_sum,
+        "work_steps": work_steps,
+        "working_sum": working_sum,
+    }
+    return times, exhausted, undone, ret_time, act, stats
 
 
 # ----------------------------------------------------------------------
-# Vectorized primitives shared by the numpy kernel families
+# Vectorized primitives shared by the kernel families
 # ----------------------------------------------------------------------
 
 class _LazyMapping(_MappingABC):
@@ -529,33 +527,28 @@ class _LazyMapping(_MappingABC):
         return repr(self._materialize())
 
 
-def _mex_bits(np, mask):
-    """mex of the values marked taken in a per-cell bitmask.
+@lru_cache(maxsize=None)
+def _color_luts(np):
+    """``(a_bit, b_bit, mex)`` lookup tables over packed color fields.
 
-    ``mask`` has bit ``v + 1`` set when value ``v`` is taken (so a −1
-    "absent" candidate lands on bit 0, which is forced set and
-    ignored).  The mex is then the position of the lowest clear bit
-    above bit 0, minus one — isolated with two's-complement arithmetic
-    and read off the ``frexp`` exponent.  Exact while candidates stay
-    below 52 (register colors are bounded by the palettes, ≤ 5).
+    A register's low six bits hold ``a << 3 | b``; ``a_bit[f]`` and
+    ``b_bit[f]`` are the taken-set bits ``1 << (a + 1)`` and
+    ``1 << (b + 1)`` of field ``f``.  Colors are at most 4 and the
+    asleep/absent sentinel field is 63 (a = b = 7), so every taken-set
+    mask fits in nine bits and ``mex[mask]`` is the least ``v`` whose
+    bit ``v + 1`` is clear.  Table gathers replace per-cell shifts and
+    ``frexp`` bit tricks.  The tables are shared: read-only.
     """
-    filled = mask | 1
-    low = ~filled & (filled + 1)
-    return np.frexp(low.astype(np.float64))[1] - 2
-
-
-def _mex_np(np, candidates):
-    """Vectorized mex over per-cell candidate arrays (−1 = absent).
-
-    With ``k`` candidates the mex is at most ``k``, and each pass
-    advances ``v`` by exactly one while ``v`` is still taken, so ``k``
-    passes always converge.
-    """
-    stacked = np.stack(candidates)
-    v = np.zeros(stacked.shape[1], dtype=np.int64)
-    for _ in range(len(candidates)):
-        v += (stacked == v).any(axis=0)
-    return v
+    fields = np.arange(64, dtype=np.int64)
+    a_bit = np.int64(1) << ((fields >> 3) + 1)
+    b_bit = np.int64(1) << ((fields & 7) + 1)
+    mex = np.zeros(512, dtype=np.int64)
+    for mask in range(512):
+        v = 0
+        while mask >> (v + 1) & 1:
+            v += 1
+        mex[mask] = v
+    return a_bit, b_bit, mex
 
 
 def _rid_np(np, x, y):
@@ -573,230 +566,252 @@ def _rid_np(np, x, y):
     return 2 * i + ((x >> i) & 1)
 
 
+def _reduce_ids(np, sr, rr, csel, xc, x1, x2, rc, q1c, q2c, *,
+                green_light, guarded_adoption):
+    """Identifier reduction of Algorithm 3 / fast-six, vectorized.
+
+    Runs over the continuing cells ``csel`` (own id ``xc``, neighbor
+    ids ``x1``/``x2`` with −1 for asleep or absent, counter ``rc``,
+    neighbor cells ``q1c``/``q2c``).  Updates the counter plane ``sr``
+    and the id array ``xc`` in place — ``xc`` is a fresh array and the
+    mid/ext index sets are disjoint.
+    """
+    red = (x1 >= 0) & (x2 >= 0) & (rc < _INF64)
+    if green_light:
+        red &= rc <= np.minimum(rr.take(q1c), rr.take(q2c))
+    if not red.any():
+        return
+    lo = np.minimum(x1, x2)
+    hi = np.maximum(x1, x2)
+    inside = (lo < xc) & (xc < hi)
+    mid = red & inside
+    if mid.any():
+        midx = np.flatnonzero(mid)
+        lom = lo.take(midx)
+        sr[csel.take(midx)] = rc.take(midx) + 1
+        cand = _rid_np(np, xc.take(midx), lom)
+        if guarded_adoption:
+            adopt = cand < lom
+            xc[midx[adopt]] = cand[adopt]
+        else:
+            xc[midx] = cand
+    ext = red & ~inside
+    if ext.any():
+        eidx = np.flatnonzero(ext)
+        sr[csel.take(eidx)] = _INF64
+        xe = xc.take(eidx)
+        low = xe < lo.take(eidx)
+        if low.any():
+            lidx = eidx[low]
+            xl = xe[low]
+            f1 = _rid_np(np, x1.take(lidx), xl)
+            f2 = _rid_np(np, x2.take(lidx), xl)
+            vv = np.zeros(len(xl), dtype=np.int64)
+            for _ in range(2):
+                vv += (vv == f1) | (vv == f2)
+            adopt = vv < xl
+            xc[lidx[adopt]] = vv[adopt]
+
+
 # ----------------------------------------------------------------------
-# Algorithms 2 and 3, batched: the (x, a, b[, r]) register family
+# The plane kernel: both register families, B ≥ 1
 # ----------------------------------------------------------------------
 
-def _make_batch_ab_kernel(algorithms, topology, inputs_list, *, reduction):
-    """Batched fused loop for Algorithm 2 / Algorithm 3 replicas."""
+def _make_plane_kernel(algorithms, topology, inputs_list, *, pair, reduction):
+    """The lockstep runner for Algorithms 1–3 and fast-six replicas.
+
+    ``pair`` selects the (x, (a, b) pair) family of Algorithm 1 /
+    fast-six over the (x, a, b) family of Algorithms 2 / 3;
+    ``reduction`` adds the identifier-reduction block (Algorithm 3,
+    fast-six).  Declines (``None``) on degree > 2 topologies and on
+    replicas that disagree on ablation flags.  Identifiers that do not
+    fit exact int64 lanes, and runs without numpy, take the scalar
+    tier.
+    """
     arrays = _degree2_arrays(topology)
     if arrays is None:
         return None
-    nb1, nb2 = arrays
-    n = topology.n
-    green_light = guarded_adoption = True
+    flags = {"green_light": True, "guarded_adoption": True}
     if reduction:
-        green_light = algorithms[0].green_light
-        guarded_adoption = algorithms[0].guarded_adoption
-        for alg in algorithms[1:]:
-            if (alg.green_light != green_light
-                    or alg.guarded_adoption != guarded_adoption):
+        names = ("green_light",) if pair else tuple(flags)
+        for name in names:
+            values = {getattr(alg, name) for alg in algorithms}
+            if len(values) > 1:
                 return None
-
+            flags[name] = values.pop()
     np = load_numpy()
-    if np is not None:
-        init_x = _ids_as_int64(np, inputs_list)
-        if init_x is not None:
-            return _numpy_ab_runner(
-                np, len(algorithms), n, nb1, nb2, init_x,
-                reduction=reduction, green_light=green_light,
-                guarded_adoption=guarded_adoption,
-            )
-    return _pure_ab_runner(
-        len(algorithms), n, nb1, nb2, inputs_list,
-        reduction=reduction, green_light=green_light,
-        guarded_adoption=guarded_adoption,
+    init_x = _ids_as_int64(np, inputs_list) if np is not None else None
+    if init_x is None:
+        return _scalar_runner(algorithms, topology, inputs_list)
+    return _plane_runner(
+        np, topology.n, arrays[0], arrays[1], init_x,
+        pair=pair, reduction=reduction, **flags,
     )
 
 
-def _numpy_ab_runner(np, B, n, nb1, nb2, init_x, *, reduction,
-                     green_light, guarded_adoption):
+def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
+                  guarded_adoption):
     # State and register planes are flat int64 arrays of length
-    # ``B × (n + 1)``: cell (b, p) lives at ``b·(n+1) + p`` and column
-    # ``n`` of every replica is a permanent sentinel cell standing in
-    # for absent *and* not-yet-awake neighbors.  The whole (x, a, b)
-    # triple is packed into one word, ``x << 6 | a << 3 | b`` — ids are
-    # < 2⁵³ (gated by :func:`_ids_as_int64`) and colors are ≤ 4, so
-    # each field is exact and the register sentinel −1 unpacks under
+    # ``B × (n + 1)`` (see :func:`_drive`).  The whole (x, a, b) triple
+    # is packed into one word, ``x << 6 | a << 3 | b`` — ids are < 2⁵³
+    # (gated by :func:`_ids_as_int64`) and colors are ≤ 4, so each
+    # field is exact, and the register sentinel −1 unpacks under
     # arithmetic shifts to x = −1, a = b = 7, values no real state can
-    # take: awakeness reduces to ``x1 >= 0``, a color never equals 7,
-    # and the two-/one-/zero-awake-neighbor arms of the scalar kernel
-    # collapse into one vector expression.  Packing means publishing a
-    # register image is one gather plus one scatter, and reading a
-    # neighbor is one gather.  All per-lockstep work happens on compact
-    # frontier-sized arrays via ``take`` / fancy scatters — never on
-    # boolean-masked (B, n) planes — and activation counting is
-    # deferred to a single :func:`numpy.bincount` over the concatenated
-    # frontiers at the end of the run.
-    from repro.core.coloring5 import FiveState
-    from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
+    # take: awakeness reduces to ``x >= 0``, a sentinel color never
+    # clashes with a real one, and the zero-/one-/two-awake-neighbor
+    # arms of the scalar kernels collapse into one vector expression.
+    # Publishing a register image is one gather plus one scatter, and
+    # reading a neighbor is one gather through the precomputed flat
+    # neighbor tables.
+    if pair:
+        from repro.core.coloring6 import SixState as State
+        from repro.extensions.fast_six import FastSixState as ReducedState
+    else:
+        from repro.core.coloring5 import FiveState as State
+        from repro.core.fast_coloring5 import FastState as ReducedState
+    from repro.core.fast_coloring5 import INFINITE_ROUND
 
+    B = len(init_x)
     N1 = n + 1
     size = B * N1
-    nb1a = np.asarray(nb1, dtype=np.int64)
-    nb2a = np.asarray(nb2, dtype=np.int64)
-    q1t = np.where(nb1a >= 0, nb1a, n)  # absent neighbor → sentinel slot
-    q2t = np.where(nb2a >= 0, nb2a, n)
+    offsets = np.arange(0, size, N1, dtype=np.int64)[:, None]
+    q1t = np.append(np.asarray(nb1, dtype=np.int64), n)
+    q2t = np.append(np.asarray(nb2, dtype=np.int64), n)
+    # Absent neighbor → the replica's own sentinel cell.
+    q1F = (np.where(q1t >= 0, q1t, n) + offsets).reshape(-1)
+    q2F = (np.where(q2t >= 0, q2t, n) + offsets).reshape(-1)
+    a_bit, b_bit, mex = _color_luts(np)
+    taken_bits = a_bit | b_bit
 
     def run(schedules, max_time, idle_limit):
         sP = np.zeros(size, dtype=np.int64)
         sP.reshape(B, N1)[:, :n] = init_x << 6  # a = b = 0 initially
-        sr = np.zeros(size, dtype=np.int64)
         rP = np.full(size, -1, dtype=np.int64)
-        rr = np.full(size, -1, dtype=np.int64)
-        undone = np.zeros((B, N1), dtype=bool)
-        undone[:, :n] = True
-        undone_f = undone.reshape(-1)
-        out_c = np.zeros(size, dtype=np.int64)
-        ret_time = np.zeros(size, dtype=np.int64)
-        remaining = np.full(B, n, dtype=np.int64)
-        frontiers: List[Any] = []
+        if reduction:
+            sr = np.zeros(size, dtype=np.int64)
+            rr = np.full(size, -1, dtype=np.int64)
+        if not pair:
+            out_c = np.zeros(size, dtype=np.int64)
 
-        def step_cells(flat, bidx, tvec):
-            p = flat - bidx * N1
-            base = flat - p
-            q1f = base + q1t.take(p)
-            q2f = base + q2t.take(p)
-            # Phase 1: publish the packed register image, keeping the
-            # gathered word for the read/update phases.
+        def step_cells(flat):
+            # Phase 1: publish the packed register images.
             v = sP.take(flat)
             rP[flat] = v
             if reduction:
                 rw = sr.take(flat)
                 rr[flat] = rw
-            frontiers.append(flat)
             # Phase 2: read both neighbors' packed images.
+            q1f = q1F.take(flat)
+            q2f = q2F.take(flat)
             g1 = rP.take(q1f)
             g2 = rP.take(q2f)
-            aw = (v >> 3) & 7
-            bw = v & 7
-            a1 = (g1 >> 3) & 7
-            b1 = g1 & 7
-            a2 = (g2 >> 3) & 7
-            b2 = g2 & 7
-            ok_a = (aw != a1) & (aw != b1) & (aw != a2) & (aw != b2)
-            ok_b = (bw != a1) & (bw != b1) & (bw != a2) & (bw != b2)
-            ret = ok_a | ok_b
-            if ret.any():
-                rsel = flat[ret]
-                rbx = bidx[ret]
-                out_c[rsel] = np.where(ok_a, aw, bw)[ret]
-                ret_time[rsel] = tvec.take(rbx)
-                undone_f[rsel] = False
-                remaining[:] -= np.bincount(rbx, minlength=B)
-            cont = ~ret
-            if not cont.any():
-                return
-            csel = flat[cont]
-            xc = v[cont] >> 6
-            x1 = g1[cont] >> 6  # sentinel −1 shifts to −1
-            x2 = g2[cont] >> 6
-            a1c = a1[cont]
-            b1c = b1[cont]
-            a2c = a2[cont]
-            b2c = b2[cont]
-            hi1 = x1 > xc  # asleep/absent ⇒ x1 = −1 ⇒ never "higher"
-            hi2 = x2 > xc
-            bb1 = (1 << (a1c + 1)) | (1 << (b1c + 1))
-            bb2 = (1 << (a2c + 1)) | (1 << (b2c + 1))
-            na = _mex_bits(
-                np, np.where(hi1, bb1, 0) | np.where(hi2, bb2, 0)
-            )
-            nb = _mex_bits(np, bb1 | bb2)
-
-            if reduction:
-                rc = rw[cont]
-                red = (x1 >= 0) & (x2 >= 0) & (rc < _INF64)
-                if green_light:
-                    red &= rc <= np.minimum(
-                        rr.take(q1f[cont]), rr.take(q2f[cont])
+            f1 = g1 & 63
+            f2 = g2 & 63
+            mine = v & 63
+            # Phase 3: return test over the whole frontier.
+            if pair:
+                # Return unless an awake neighbor holds my exact pair.
+                ret = (f1 != mine) & (f2 != mine)
+            else:
+                t1 = taken_bits.take(f1)
+                t2 = taken_bits.take(f2)
+                taken = t1 | t2
+                ok_a = (taken & a_bit.take(mine)) == 0
+                ret = ok_a | ((taken & b_bit.take(mine)) == 0)
+            ridx = np.flatnonzero(ret)
+            returned = None
+            if ridx.size:
+                returned = flat.take(ridx)
+                if not pair:
+                    vr = v.take(ridx)
+                    out_c[returned] = np.where(
+                        ok_a.take(ridx), (vr >> 3) & 7, vr & 7
                     )
-                if red.any():
-                    # ``xc`` is a fresh shifted array (not a view), and
-                    # the mid/ext index sets are disjoint, so adopted
-                    # identifiers can be written into it in place.
-                    lo = np.minimum(x1, x2)
-                    hi = np.maximum(x1, x2)
-                    inside = (lo < xc) & (xc < hi)
-                    mid = red & inside
-                    if mid.any():
-                        midx = np.flatnonzero(mid)
-                        lom = lo.take(midx)
-                        sr[csel.take(midx)] = rc.take(midx) + 1
-                        cand = _rid_np(np, xc.take(midx), lom)
-                        if guarded_adoption:
-                            adopt = cand < lom
-                            xc[midx[adopt]] = cand[adopt]
-                        else:
-                            xc[midx] = cand
-                    ext = red & ~inside
-                    if ext.any():
-                        eidx = np.flatnonzero(ext)
-                        sr[csel.take(eidx)] = _INF64
-                        xe = xc.take(eidx)
-                        low = xe < lo.take(eidx)
-                        if low.any():
-                            lidx = eidx[low]
-                            xl = xe[low]
-                            f1 = _rid_np(np, x1.take(lidx), xl)
-                            f2 = _rid_np(np, x2.take(lidx), xl)
-                            vv = np.zeros(len(xl), dtype=np.int64)
-                            for _ in range(2):
-                                vv += (vv == f1) | (vv == f2)
-                            adopt = vv < xl
-                            xc[lidx[adopt]] = vv[adopt]
-
+                if ridx.size == flat.size:
+                    return returned
+            # Index-based extraction (flatnonzero + take) of the cells
+            # that keep working: a gather is several times cheaper per
+            # array than a boolean-mask pass.
+            cidx = np.flatnonzero(~ret)
+            csel = flat.take(cidx)
+            xc = v.take(cidx) >> 6
+            x1 = g1.take(cidx) >> 6  # sentinel −1 shifts to −1
+            x2 = g2.take(cidx) >> 6
+            hi1 = x1 > xc  # asleep/absent ⇒ x = −1 ⇒ never "higher"
+            hi2 = x2 > xc
+            if pair:
+                f1c = f1.take(cidx)
+                f2c = f2.take(cidx)
+                na = mex.take(
+                    np.where(hi1, a_bit.take(f1c), 0)
+                    | np.where(hi2, a_bit.take(f2c), 0)
+                )
+                nb = mex.take(
+                    np.where((x1 >= 0) & (x1 < xc), b_bit.take(f1c), 0)
+                    | np.where((x2 >= 0) & (x2 < xc), b_bit.take(f2c), 0)
+                )
+            else:
+                t1c = t1.take(cidx)
+                t2c = t2.take(cidx)
+                na = mex.take(np.where(hi1, t1c, 0) | np.where(hi2, t2c, 0))
+                nb = mex.take(t1c | t2c)
+            if reduction:
+                _reduce_ids(
+                    np, sr, rr, csel, xc, x1, x2, rw.take(cidx),
+                    q1f.take(cidx), q2f.take(cidx),
+                    green_light=green_light,
+                    guarded_adoption=guarded_adoption,
+                )
             sP[csel] = (xc << 6) | (na << 3) | nb
+            return returned
 
-        times, exhausted, stats = _drive_numpy(
-            np, schedules, n, B, max_time, idle_limit, undone, remaining,
-            step_cells,
+        times, exhausted, undone, ret_time, act, stats = _drive(
+            np, schedules, n, max_time, idle_limit, step_cells
         )
-
-        if frontiers:
-            act = np.bincount(np.concatenate(frontiers), minlength=size)
-        else:
-            act = np.zeros(size, dtype=np.int64)
 
         results = []
         ids = list(range(n))
         SP = sP.reshape(B, N1)
-        SR = sr.reshape(B, N1)
+        SR = sr.reshape(B, N1) if reduction else None
         ACT = act.reshape(B, N1)
-        OUT = out_c.reshape(B, N1)
         RT = ret_time.reshape(B, N1)
+        OUT = SP if pair else out_c.reshape(B, N1)
         for bi in range(B):
             # Every result mapping materializes lazily: consumers
             # typically read one or two of them (often none), and the
             # rows stay alive inside the closures either way.
             def build_outputs(bi=bi):
                 pret = np.flatnonzero(~undone[bi, :n])
-                return dict(zip(pret.tolist(), OUT[bi, pret].tolist()))
+                colors = OUT[bi].take(pret)
+                if pair:
+                    colors = zip(((colors >> 3) & 7).tolist(),
+                                 (colors & 7).tolist())
+                else:
+                    colors = colors.tolist()
+                return dict(zip(pret.tolist(), colors))
 
             def build_return_times(bi=bi):
                 pret = np.flatnonzero(~undone[bi, :n])
-                return dict(zip(pret.tolist(), RT[bi, pret].tolist()))
+                return dict(zip(pret.tolist(), RT[bi].take(pret).tolist()))
 
             def build_activations(bi=bi):
                 return dict(zip(ids, ACT[bi, :n].tolist()))
 
             # tuple.__new__ builds the NamedTuples without entering
             # their generated __new__ — same objects, C-speed.
-            def build_states(row=SP[bi, :n], rrow=SR[bi, :n]):
-                xs = (row >> 6).tolist()
-                as_ = ((row >> 3) & 7).tolist()
-                bs = (row & 7).tolist()
+            def build_states(bi=bi):
+                row = SP[bi, :n]
+                fields = [(row >> 6).tolist(), ((row >> 3) & 7).tolist(),
+                          (row & 7).tolist()]
+                state_type = State
                 if reduction:
-                    rs = [
+                    fields.insert(1, [
                         r if r < _INF64 else INFINITE_ROUND
-                        for r in rrow.tolist()
-                    ]
-                    return dict(zip(ids, map(
-                        tuple.__new__, repeat(FastState),
-                        zip(xs, rs, as_, bs),
-                    )))
+                        for r in SR[bi, :n].tolist()
+                    ])
+                    state_type = ReducedState
                 return dict(zip(ids, map(
-                    tuple.__new__, repeat(FiveState), zip(xs, as_, bs)
+                    tuple.__new__, repeat(state_type), zip(*fields)
                 )))
 
             results.append(ExecutionResult(
@@ -814,504 +829,42 @@ def _numpy_ab_runner(np, B, n, nb1, nb2, init_x, *, reduction,
     return run
 
 
-def _pure_ab_runner(B, n, nb1, nb2, inputs_list, *, reduction, green_light,
-                    guarded_adoption):
-    from repro.core.coin_tossing import reduce_identifier
-    from repro.core.coloring5 import FiveState
-    from repro.core.fast_coloring5 import FastState, INFINITE_ROUND
-
-    INF = INFINITE_ROUND
-
-    def run(schedules, max_time, idle_limit):
-        st_x = [list(inputs) for inputs in inputs_list]
-        st_a = [[0] * n for _ in range(B)]
-        st_b = [[0] * n for _ in range(B)]
-        st_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_x = [[0] * n for _ in range(B)]
-        rg_a = [[0] * n for _ in range(B)]
-        rg_b = [[0] * n for _ in range(B)]
-        rg_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_w = [[False] * n for _ in range(B)]
-        done = [[False] * n for _ in range(B)]
-        outputs: List[Dict[int, Any]] = [{} for _ in range(B)]
-        return_times: List[Dict[int, int]] = [{} for _ in range(B)]
-        activations = [[0] * n for _ in range(B)]
-        remaining = [n] * B
-
-        def step_one(bi, working, time):
-            sx, sa, sb, sr = st_x[bi], st_a[bi], st_b[bi], st_r[bi]
-            gx, ga, gb, gr, gw = (
-                rg_x[bi], rg_a[bi], rg_b[bi], rg_r[bi], rg_w[bi]
-            )
-            dn, outs, rts, acts = (
-                done[bi], outputs[bi], return_times[bi], activations[bi]
-            )
-            returned = 0
-            for p in working:
-                gx[p] = sx[p]
-                ga[p] = sa[p]
-                gb[p] = sb[p]
-                if reduction:
-                    gr[p] = sr[p]
-                gw[p] = True
-            for p in working:
-                acts[p] += 1
-                x = sx[p]
-                a = sa[p]
-                b = sb[p]
-                q1 = nb1[p]
-                q2 = nb2[p]
-                w1 = q1 >= 0 and gw[q1]
-                w2 = q2 >= 0 and gw[q2]
-                if w1 and w2:
-                    a1 = ga[q1]; b1 = gb[q1]
-                    a2 = ga[q2]; b2 = gb[q2]
-                    if a != a1 and a != b1 and a != a2 and a != b2:
-                        outs[p] = a; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    if b != a1 and b != b1 and b != a2 and b != b2:
-                        outs[p] = b; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    taken_all = {a1, b1, a2, b2}
-                    taken_higher = set()
-                    if gx[q1] > x:
-                        taken_higher.add(a1); taken_higher.add(b1)
-                    if gx[q2] > x:
-                        taken_higher.add(a2); taken_higher.add(b2)
-                elif w1 or w2:
-                    q = q1 if w1 else q2
-                    aq = ga[q]; bq = gb[q]
-                    if a != aq and a != bq:
-                        outs[p] = a; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    if b != aq and b != bq:
-                        outs[p] = b; rts[p] = time
-                        dn[p] = True; returned += 1
-                        continue
-                    taken_all = {aq, bq}
-                    taken_higher = {aq, bq} if gx[q] > x else set()
-                else:
-                    outs[p] = a; rts[p] = time
-                    dn[p] = True; returned += 1
-                    continue
-
-                v = 0
-                while v in taken_higher:
-                    v += 1
-                sa[p] = v
-                v = 0
-                while v in taken_all:
-                    v += 1
-                sb[p] = v
-
-                if reduction and w1 and w2:
-                    r = sr[p]
-                    if r < INF:
-                        r1 = gr[q1]; r2 = gr[q2]
-                        if r <= (r1 if r1 < r2 else r2) or not green_light:
-                            x1 = gx[q1]; x2 = gx[q2]
-                            lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-                            if lo < x < hi:
-                                sr[p] = r + 1
-                                candidate = reduce_identifier(x, lo)
-                                if candidate < lo or not guarded_adoption:
-                                    sx[p] = candidate
-                            else:
-                                sr[p] = INF
-                                if x < lo:
-                                    f1 = reduce_identifier(x1, x)
-                                    f2 = reduce_identifier(x2, x)
-                                    v = 0
-                                    while v == f1 or v == f2:
-                                        v += 1
-                                    if v < x:
-                                        sx[p] = v
-            return returned
-
-        times, exhausted, stats = _drive_pure(
-            schedules, n, B, max_time, idle_limit, done, remaining, step_one
-        )
-
-        results = []
-        for bi in range(B):
-            if reduction:
-                final_states = {
-                    p: FastState(
-                        x=st_x[bi][p], r=st_r[bi][p],
-                        a=st_a[bi][p], b=st_b[bi][p],
-                    )
-                    for p in range(n)
-                }
-            else:
-                final_states = {
-                    p: FiveState(x=st_x[bi][p], a=st_a[bi][p], b=st_b[bi][p])
-                    for p in range(n)
-                }
-            results.append(ExecutionResult(
-                n=n,
-                outputs=outputs[bi],
-                activations={p: activations[bi][p] for p in range(n)},
-                return_times=return_times[bi],
-                final_time=times[bi],
-                time_exhausted=exhausted[bi],
-                trace=None,
-                final_states=final_states,
-            ))
-        return results, stats
-
-    return run
-
-
 # ----------------------------------------------------------------------
-# Algorithms 1 and fast-6, batched: the (x, (a, b) pair[, r]) family
+# The scalar tier
 # ----------------------------------------------------------------------
 
-def _make_batch_pair_kernel(algorithms, topology, inputs_list, *, reduction):
-    """Batched fused loop for Algorithm 1 / fast-six replicas."""
-    arrays = _degree2_arrays(topology)
-    if arrays is None:
-        return None
-    nb1, nb2 = arrays
-    n = topology.n
-    green_light = True
-    if reduction:
-        green_light = algorithms[0].green_light
-        for alg in algorithms[1:]:
-            if alg.green_light != green_light:
-                return None
+def _scalar_runner(algorithms, topology, inputs_list):
+    """Per-replica delegation to the scalar kernels.
 
-    np = load_numpy()
-    if np is not None:
-        init_x = _ids_as_int64(np, inputs_list)
-        if init_x is not None:
-            return _numpy_pair_runner(
-                np, len(algorithms), n, nb1, nb2, init_x,
-                reduction=reduction, green_light=green_light,
-            )
-    return _pure_pair_runner(
-        len(algorithms), n, nb1, nb2, inputs_list,
-        reduction=reduction, green_light=green_light,
-    )
+    Without numpy, or with identifiers outside exact int64 lanes, a
+    plane step over plain Python values degenerates to the very loop
+    :mod:`repro.model.kernels` already compiles — so this tier *is*
+    that kernel, one replica after another.  Bit-identical by
+    construction: each replica consumes its own ``steps_fast`` stream,
+    which the ``steps_batch`` contract pins to what the lockstep
+    driver would have drawn.  Declines (``None``) when a scalar kernel
+    does.
+    """
+    from repro.model.kernels import build_kernel
 
-
-def _numpy_pair_runner(np, B, n, nb1, nb2, init_x, *, reduction,
-                       green_light):
-    # Same packed flat ``B × (n + 1)`` plane layout as the ab family
-    # (see :func:`_numpy_ab_runner`): one int64 word ``x << 6 | a << 3
-    # | b`` per cell, sentinel −1 unpacking to x = −1, a = b = 7 — a
-    # neighbor is awake exactly when its published ``x`` is ≥ 0, and
-    # the clash test needs no awakeness mask at all (a 7 register field
-    # never equals a real color, which is ≤ 2 in this family).
-    from repro.core.coloring6 import SixState
-    from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
-
-    N1 = n + 1
-    size = B * N1
-    nb1a = np.asarray(nb1, dtype=np.int64)
-    nb2a = np.asarray(nb2, dtype=np.int64)
-    q1t = np.where(nb1a >= 0, nb1a, n)
-    q2t = np.where(nb2a >= 0, nb2a, n)
+    kernels = []
+    for algorithm, inputs in zip(algorithms, inputs_list):
+        kernel = build_kernel(algorithm, topology, list(inputs))
+        if kernel is None:
+            return None
+        kernels.append(kernel)
 
     def run(schedules, max_time, idle_limit):
-        sP = np.zeros(size, dtype=np.int64)
-        sP.reshape(B, N1)[:, :n] = init_x << 6  # a = b = 0 initially
-        sr = np.zeros(size, dtype=np.int64)
-        rP = np.full(size, -1, dtype=np.int64)
-        rr = np.full(size, -1, dtype=np.int64)
-        undone = np.zeros((B, N1), dtype=bool)
-        undone[:, :n] = True
-        undone_f = undone.reshape(-1)
-        out_a = np.zeros(size, dtype=np.int64)
-        out_b = np.zeros(size, dtype=np.int64)
-        ret_time = np.zeros(size, dtype=np.int64)
-        remaining = np.full(B, n, dtype=np.int64)
-        frontiers: List[Any] = []
-
-        def step_cells(flat, bidx, tvec):
-            p = flat - bidx * N1
-            base = flat - p
-            q1f = base + q1t.take(p)
-            q2f = base + q2t.take(p)
-            v = sP.take(flat)
-            rP[flat] = v
-            if reduction:
-                rw = sr.take(flat)
-                rr[flat] = rw
-            frontiers.append(flat)
-            g1 = rP.take(q1f)
-            g2 = rP.take(q2f)
-            aw = (v >> 3) & 7
-            bw = v & 7
-            a1 = (g1 >> 3) & 7
-            b1 = g1 & 7
-            a2 = (g2 >> 3) & 7
-            b2 = g2 & 7
-            clash = ((aw == a1) & (bw == b1)) | ((aw == a2) & (bw == b2))
-            ret = ~clash
-            if ret.any():
-                rsel = flat[ret]
-                rbx = bidx[ret]
-                out_a[rsel] = aw[ret]
-                out_b[rsel] = bw[ret]
-                ret_time[rsel] = tvec.take(rbx)
-                undone_f[rsel] = False
-                remaining[:] -= np.bincount(rbx, minlength=B)
-            if not clash.any():
-                return
-            cont = clash
-            csel = flat[cont]
-            xc = v[cont] >> 6
-            x1 = g1[cont] >> 6  # sentinel −1 shifts to −1
-            x2 = g2[cont] >> 6
-            a1c = a1[cont]
-            b1c = b1[cont]
-            a2c = a2[cont]
-            b2c = b2[cont]
-            hi1 = x1 > xc  # asleep/absent ⇒ x1 = −1 ⇒ never "higher"
-            hi2 = x2 > xc
-            na = _mex_bits(np, (
-                np.where(hi1, 1 << (a1c + 1), 0)
-                | np.where(hi2, 1 << (a2c + 1), 0)
-            ))
-            lo1 = (x1 >= 0) & (x1 < xc)
-            lo2 = (x2 >= 0) & (x2 < xc)
-            nb = _mex_bits(np, (
-                np.where(lo1, 1 << (b1c + 1), 0)
-                | np.where(lo2, 1 << (b2c + 1), 0)
-            ))
-
-            if reduction:
-                rc = rw[cont]
-                red = (x1 >= 0) & (x2 >= 0) & (rc < _INF64)
-                if green_light:
-                    red &= rc <= np.minimum(
-                        rr.take(q1f[cont]), rr.take(q2f[cont])
-                    )
-                if red.any():
-                    # ``xc`` is a fresh shifted array and the mid/ext
-                    # index sets are disjoint — adopt in place.
-                    lo = np.minimum(x1, x2)
-                    hi = np.maximum(x1, x2)
-                    inside = (lo < xc) & (xc < hi)
-                    mid = red & inside
-                    if mid.any():
-                        midx = np.flatnonzero(mid)
-                        lom = lo.take(midx)
-                        sr[csel.take(midx)] = rc.take(midx) + 1
-                        cand = _rid_np(np, xc.take(midx), lom)
-                        adopt = cand < lom
-                        xc[midx[adopt]] = cand[adopt]
-                    ext = red & ~inside
-                    if ext.any():
-                        eidx = np.flatnonzero(ext)
-                        sr[csel.take(eidx)] = _INF64
-                        xe = xc.take(eidx)
-                        low = xe < lo.take(eidx)
-                        if low.any():
-                            lidx = eidx[low]
-                            xl = xe[low]
-                            f1 = _rid_np(np, x1.take(lidx), xl)
-                            f2 = _rid_np(np, x2.take(lidx), xl)
-                            vv = np.zeros(len(xl), dtype=np.int64)
-                            for _ in range(2):
-                                vv += (vv == f1) | (vv == f2)
-                            adopt = vv < xl
-                            xc[lidx[adopt]] = vv[adopt]
-
-            sP[csel] = (xc << 6) | (na << 3) | nb
-
-        times, exhausted, stats = _drive_numpy(
-            np, schedules, n, B, max_time, idle_limit, undone, remaining,
-            step_cells,
-        )
-
-        if frontiers:
-            act = np.bincount(np.concatenate(frontiers), minlength=size)
-        else:
-            act = np.zeros(size, dtype=np.int64)
-
-        results = []
-        ids = list(range(n))
-        SP = sP.reshape(B, N1)
-        SR = sr.reshape(B, N1)
-        ACT = act.reshape(B, N1)
-        OUTA = out_a.reshape(B, N1)
-        OUTB = out_b.reshape(B, N1)
-        RT = ret_time.reshape(B, N1)
-        for bi in range(B):
-            def build_outputs(bi=bi):
-                pret = np.flatnonzero(~undone[bi, :n])
-                return dict(zip(
-                    pret.tolist(),
-                    zip(OUTA[bi, pret].tolist(), OUTB[bi, pret].tolist()),
-                ))
-
-            def build_return_times(bi=bi):
-                pret = np.flatnonzero(~undone[bi, :n])
-                return dict(zip(pret.tolist(), RT[bi, pret].tolist()))
-
-            def build_activations(bi=bi):
-                return dict(zip(ids, ACT[bi, :n].tolist()))
-
-            def build_states(row=SP[bi, :n], rrow=SR[bi, :n]):
-                xs = (row >> 6).tolist()
-                as_ = ((row >> 3) & 7).tolist()
-                bs = (row & 7).tolist()
-                if reduction:
-                    rs = [
-                        r if r < _INF64 else INFINITE_ROUND
-                        for r in rrow.tolist()
-                    ]
-                    return dict(zip(ids, map(
-                        tuple.__new__, repeat(FastSixState),
-                        zip(xs, rs, as_, bs),
-                    )))
-                return dict(zip(ids, map(
-                    tuple.__new__, repeat(SixState), zip(xs, as_, bs)
-                )))
-
-            results.append(ExecutionResult(
-                n=n,
-                outputs=_LazyMapping(build_outputs),
-                activations=_LazyMapping(build_activations),
-                return_times=_LazyMapping(build_return_times),
-                final_time=times[bi],
-                time_exhausted=exhausted[bi],
-                trace=None,
-                final_states=_LazyMapping(build_states),
-            ))
-        return results, stats
-
-    return run
-
-
-def _pure_pair_runner(B, n, nb1, nb2, inputs_list, *, reduction, green_light):
-    from repro.core.coin_tossing import reduce_identifier
-    from repro.core.coloring6 import SixState
-    from repro.extensions.fast_six import FastSixState, INFINITE_ROUND
-
-    INF = INFINITE_ROUND
-
-    def run(schedules, max_time, idle_limit):
-        st_x = [list(inputs) for inputs in inputs_list]
-        st_a = [[0] * n for _ in range(B)]
-        st_b = [[0] * n for _ in range(B)]
-        st_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_x = [[0] * n for _ in range(B)]
-        rg_a = [[0] * n for _ in range(B)]
-        rg_b = [[0] * n for _ in range(B)]
-        rg_r: List[List[Any]] = [[0] * n for _ in range(B)]
-        rg_w = [[False] * n for _ in range(B)]
-        done = [[False] * n for _ in range(B)]
-        outputs: List[Dict[int, Any]] = [{} for _ in range(B)]
-        return_times: List[Dict[int, int]] = [{} for _ in range(B)]
-        activations = [[0] * n for _ in range(B)]
-        remaining = [n] * B
-
-        def step_one(bi, working, time):
-            sx, sa, sb, sr = st_x[bi], st_a[bi], st_b[bi], st_r[bi]
-            gx, ga, gb, gr, gw = (
-                rg_x[bi], rg_a[bi], rg_b[bi], rg_r[bi], rg_w[bi]
-            )
-            dn, outs, rts, acts = (
-                done[bi], outputs[bi], return_times[bi], activations[bi]
-            )
-            returned = 0
-            for p in working:
-                gx[p] = sx[p]
-                ga[p] = sa[p]
-                gb[p] = sb[p]
-                if reduction:
-                    gr[p] = sr[p]
-                gw[p] = True
-            for p in working:
-                acts[p] += 1
-                x = sx[p]
-                a = sa[p]
-                b = sb[p]
-                q1 = nb1[p]
-                q2 = nb2[p]
-                w1 = q1 >= 0 and gw[q1]
-                w2 = q2 >= 0 and gw[q2]
-                clash = (
-                    (w1 and a == ga[q1] and b == gb[q1])
-                    or (w2 and a == ga[q2] and b == gb[q2])
-                )
-                if not clash:
-                    outs[p] = (a, b); rts[p] = time
-                    dn[p] = True; returned += 1
-                    continue
-
-                h1 = ga[q1] if w1 and gx[q1] > x else -1
-                h2 = ga[q2] if w2 and gx[q2] > x else -1
-                v = 0
-                while v == h1 or v == h2:
-                    v += 1
-                new_a = v
-                l1 = gb[q1] if w1 and gx[q1] < x else -1
-                l2 = gb[q2] if w2 and gx[q2] < x else -1
-                v = 0
-                while v == l1 or v == l2:
-                    v += 1
-                sa[p] = new_a
-                sb[p] = v
-
-                if reduction and w1 and w2:
-                    r = sr[p]
-                    if r < INF:
-                        r1 = gr[q1]; r2 = gr[q2]
-                        if r <= (r1 if r1 < r2 else r2) or not green_light:
-                            x1 = gx[q1]; x2 = gx[q2]
-                            lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-                            if lo < x < hi:
-                                sr[p] = r + 1
-                                candidate = reduce_identifier(x, lo)
-                                if candidate < lo:
-                                    sx[p] = candidate
-                            else:
-                                sr[p] = INF
-                                if x < lo:
-                                    f1 = reduce_identifier(x1, x)
-                                    f2 = reduce_identifier(x2, x)
-                                    v = 0
-                                    while v == f1 or v == f2:
-                                        v += 1
-                                    if v < x:
-                                        sx[p] = v
-            return returned
-
-        times, exhausted, stats = _drive_pure(
-            schedules, n, B, max_time, idle_limit, done, remaining, step_one
-        )
-
-        results = []
-        for bi in range(B):
-            if reduction:
-                final_states = {
-                    p: FastSixState(
-                        x=st_x[bi][p], r=st_r[bi][p],
-                        a=st_a[bi][p], b=st_b[bi][p],
-                    )
-                    for p in range(n)
-                }
-            else:
-                final_states = {
-                    p: SixState(x=st_x[bi][p], a=st_a[bi][p], b=st_b[bi][p])
-                    for p in range(n)
-                }
-            results.append(ExecutionResult(
-                n=n,
-                outputs=outputs[bi],
-                activations={p: activations[bi][p] for p in range(n)},
-                return_times=return_times[bi],
-                final_time=times[bi],
-                time_exhausted=exhausted[bi],
-                trace=None,
-                final_states=final_states,
-            ))
+        results = [
+            kernel(schedule, max_time, idle_limit)
+            for kernel, schedule in zip(kernels, schedules)
+        ]
+        # Replica occupancy as if the runs had shared one clock; no
+        # step ran vectorized.
+        final_times = [result.final_time for result in results]
+        stats = {"tier": "scalar", "locksteps": max(final_times),
+                 "live_sum": sum(final_times), "work_steps": 0,
+                 "working_sum": 0}
         return results, stats
 
     return run
@@ -1327,29 +880,15 @@ def _register_builtin_batch_kernels() -> None:
     from repro.core.fast_coloring5 import FastFiveColoring
     from repro.extensions.fast_six import FastSixColoring
 
-    @register_batch_kernel(FiveColoring)
-    def _alg2_batch(algorithms, topology, inputs_list):
-        return _make_batch_ab_kernel(
-            algorithms, topology, inputs_list, reduction=False
-        )
-
-    @register_batch_kernel(FastFiveColoring)
-    def _alg3_batch(algorithms, topology, inputs_list):
-        return _make_batch_ab_kernel(
-            algorithms, topology, inputs_list, reduction=True
-        )
-
-    @register_batch_kernel(SixColoring)
-    def _alg1_batch(algorithms, topology, inputs_list):
-        return _make_batch_pair_kernel(
-            algorithms, topology, inputs_list, reduction=False
-        )
-
-    @register_batch_kernel(FastSixColoring)
-    def _fast6_batch(algorithms, topology, inputs_list):
-        return _make_batch_pair_kernel(
-            algorithms, topology, inputs_list, reduction=True
-        )
+    for algorithm_type, pair, reduction in (
+        (FiveColoring, False, False),
+        (FastFiveColoring, False, True),
+        (SixColoring, True, False),
+        (FastSixColoring, True, True),
+    ):
+        register_batch_kernel(algorithm_type)(partial(
+            _make_plane_kernel, pair=pair, reduction=reduction
+        ))
 
 
 _register_builtin_batch_kernels()
@@ -1422,7 +961,7 @@ def run_batch(
             )
     record_timed(
         "engine_run", wall, elapsed,
-        {"engine": "batch", "replicas": B,
+        {"engine": "batch", "tier": stats["tier"], "replicas": B,
          "occupancy": round(occupancy, 4)},
     )
     return results

@@ -353,13 +353,12 @@ class Executor:
 
 
 #: Engine registry for :func:`run_execution`.  ``"fast"`` is the
-#: compiled fast path of :mod:`repro.model.fastpath`; ``"batch"`` is
-#: the lockstep ensemble engine of :mod:`repro.model.batch` (for a
-#: single run it executes a batch of one, falling back to ``"fast"``
-#: where batching doesn't apply); ``"wide"`` is the node-vectorized
-#: single-run engine of :mod:`repro.model.wide` (whole activation sets
-#: per step, falling back to ``"fast"`` likewise); ``"auto"`` picks
-#: among them from the workload shape (:mod:`repro.model.select`).
+#: compiled fast path of :mod:`repro.model.fastpath`; ``"batch"`` and
+#: ``"wide"`` both run the node-vectorized plane engine of
+#: :mod:`repro.model.batch` as a batch of one (whole activation sets
+#: per step, falling back to ``"fast"`` where it doesn't apply) and
+#: differ only in the label their metrics and spans carry; ``"auto"``
+#: picks among them from the workload shape (:mod:`repro.model.select`).
 #: All are observably identical to ``"reference"`` (this module's
 #: :class:`Executor`), which is retained everywhere as the semantics
 #: oracle.
@@ -424,30 +423,20 @@ def run_execution(
             record_registers=record_registers,
             monitors=monitors,
         )
-    if engine == "wide":
-        # Same contract gate as batch: the wide kernels produce no
-        # trace/register history and run no monitors, so those requests
-        # fall back to the fast engine (whose own gate falls further
-        # back to the generic loop as needed).
+    if engine in ("wide", "batch"):
+        # The plane engine (a batch of one, labelled "wide" or "batch")
+        # covers plain runs of kernel-supported configurations: it
+        # produces no trace/register history and runs no monitors, so
+        # those requests — and configurations it declines — fall back
+        # to the fast engine, whose own gate falls further back to the
+        # generic loop as needed.
         if not record_trace and not record_registers and not monitors:
-            from repro.model.wide import run_wide
+            if engine == "wide":
+                from repro.model.wide import run_wide as run_one
+            else:
+                from repro.model.batch import run_single_batch as run_one
 
-            result = run_wide(
-                algorithm, topology, inputs, schedule, max_time=max_time
-            )
-            if result is not None:
-                if raise_on_exhaustion and result.time_exhausted:
-                    raise time_exhausted_error(result)
-                return result
-        engine = "fast"
-    if engine == "batch":
-        # The batch engine covers plain (untraced, unmonitored) runs of
-        # kernel-supported configurations; anything else falls back to
-        # the fast engine, mirroring the fast engine's own kernel gate.
-        if not record_trace and not record_registers and not monitors:
-            from repro.model.batch import run_single_batch
-
-            result = run_single_batch(
+            result = run_one(
                 algorithm, topology, inputs, schedule, max_time=max_time
             )
             if result is not None:

@@ -97,26 +97,21 @@ class Schedule:
         return self.steps(n)
 
     def steps_wide(self, n: int) -> Iterator[FastStep]:
-        """Yield the same steps as :meth:`steps_fast`, wide-engine form.
+        """Yield this schedule's steps as the plane engine draws them.
 
-        The wide engine (:mod:`repro.model.wide`) executes an entire
-        activation set per vectorized step, so this method may yield
-        either a :data:`FastStep` id sequence *or* a length-``n``
-        numpy boolean mask (``mask[p]`` ⇔ process ``p`` is activated)
-        — whichever the scheduler produces more cheaply.  A yielded
-        mask buffer is only read before the generator is resumed, so
-        overrides may reuse one buffer across steps.
-
-        Contract: identical step sequence, order, and RNG stream
-        consumption as :meth:`steps_fast` (and therefore :meth:`steps`)
-        — the wide engine must be bit-identical to the reference, and
-        switching engines must never perturb seeded adversaries.  This
-        default delegates to :meth:`steps_fast`, which is correct for
-        any subclass including wrappers like crash plans; the built-in
-        synchronous/Bernoulli/uniform-subset families override it with
-        vectorized mask generation when numpy is available.
+        The one-replica view of :meth:`steps_batch`: a single run
+        (``engine="wide"``) is a batch of one, so its steps are the
+        non-``None`` rows of ``steps_batch([self], n, …)`` — each a
+        :data:`FastStep` id sequence or a length-``n`` boolean mask.
+        A yielded mask buffer is only read before the generator is
+        resumed.  The ``steps_batch`` contract makes this the same
+        step sequence, order and RNG stream consumption as
+        :meth:`steps_fast`.
         """
-        return self.steps_fast(n)
+        for rows in type(self).steps_batch([self], n, [True]):
+            if rows[0] is None:
+                return
+            yield rows[0]
 
     @classmethod
     def steps_batch(cls, schedules: Sequence["Schedule"], n: int, active):
@@ -143,6 +138,8 @@ class Schedule:
         default adapter drives one ``steps_fast`` iterator per
         schedule and is correct for any subclass; vectorized overrides
         (Bernoulli, synchronous, round-robin) draw whole rows at once.
+        This is the only stream the plane engine consumes, at every
+        ``B`` (see :meth:`steps_wide` for ``B = 1``).
         """
         iterators = [s.steps_fast(n) for s in schedules]
         exhausted = [False] * len(schedules)

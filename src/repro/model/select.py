@@ -1,8 +1,9 @@
 """``engine="auto"``: adaptive engine selection from workload shape.
 
-The repo ships four executable engines — reference, fast, batch, wide
-— with one result contract (bit-identical ``ExecutionResult``) and very
-different cost profiles.  ``auto`` makes the choice so callers (the
+The repo ships three executable engines — reference, fast and the
+plane engine (``batch`` for replica ensembles, ``wide`` for its single
+run) — with one result contract (bit-identical ``ExecutionResult``)
+and very different cost profiles.  ``auto`` makes the choice so callers (the
 service, campaigns, notebooks) do not have to: a handful of cheap,
 deterministic rules over the *shape* of the workload, never its data.
 
@@ -17,7 +18,7 @@ The rules, in order:
 2. Replica ensembles (``replicas > 1``) go to ``batch`` — lockstep
    across replicas amortizes the interpreter loop over the ensemble.
 3. Single runs go to ``wide`` when the vectorized step can pay for
-   itself: numpy importable, a wide kernel registered for the exact
+   itself: numpy importable, a plane kernel registered for the exact
    algorithm type, a schedule family with a *known* expected
    activation-set size, ``n`` at least :data:`WIDE_MIN_N` and the
    expected set size at least :data:`WIDE_MIN_STEP_OCCUPANCY`.
@@ -25,9 +26,9 @@ The rules, in order:
    algorithm types — stays on ``fast``.
 
 Selection is *optimistic*: the chosen engine's own decline/fallback
-gates still apply downstream (``run_wide``/``run_single_batch``
-returning ``None`` falls back to ``fast`` inside ``run_execution``),
-so a rule here never has to be perfectly tight to be safe.  The
+gates still apply downstream (the plane engine returning ``None``
+falls back to ``fast`` inside ``run_execution``), so a rule here never
+has to be perfectly tight to be safe.  The
 decision and its deciding rule are recorded in the shared metrics
 registry (``engine_auto_selected_total{engine=…,reason=…}``) so a
 campaign's engine mix is auditable after the fact.
@@ -52,9 +53,9 @@ __all__ = [
 #: overhead even on fully-dense schedules.
 WIDE_MIN_N = 4096
 
-#: Minimum *expected* activation-set size for the wide engine — the
-#: vectorized step must clear the dense-step threshold with room to
-#: spare, or the run would execute mostly on the sparse scalar path.
+#: Minimum *expected* activation-set size for the wide engine — below
+#: it the fixed numpy dispatch cost of a vectorized step outweighs the
+#: per-activation work it saves.
 WIDE_MIN_STEP_OCCUPANCY = 256
 
 
@@ -63,9 +64,10 @@ def _expected_step_occupancy(schedule: Schedule, n: int) -> Optional[float]:
 
     Computed from the *exact type* of the schedule (a subclass may
     override step generation, so it gets no credit for its parent's
-    shape).  Only the families with vectorized ``steps_wide``
-    overrides are recognized; any wrapper or custom adversary is
-    opaque and scores ``None``.
+    shape).  Only the synchronous, Bernoulli and uniform-subset
+    families, whose step sizes follow from their parameters, are
+    recognized; any wrapper or custom adversary is opaque and scores
+    ``None``.
     """
     from repro.schedulers.random_async import (
         BernoulliScheduler,
@@ -100,13 +102,11 @@ def _decide(
         return "fast", "monitors"
     if replicas > 1:
         return "batch", "replicas"
-    from repro.model.batch import load_numpy
+    from repro.model.batch import BATCH_KERNELS, load_numpy
 
     if load_numpy() is None:
         return "fast", "no-numpy"
-    from repro.model.wide import WIDE_KERNELS
-
-    if type(algorithm) not in WIDE_KERNELS:
+    if type(algorithm) not in BATCH_KERNELS:
         return "fast", "no-wide-kernel"
     n = topology.n
     occupancy = _expected_step_occupancy(schedule, n)

@@ -65,9 +65,9 @@ NONDETERMINISTIC_METRICS = frozenset(
         # differently across backends and fallback paths.
         "batch_replicas",
         "batch_occupancy",
-        # Wide-engine step-shape metrics describe how activation sets
-        # were routed (dense vs sparse, frontier occupancy), which is
-        # an engine property, not a modeled-system one; the adaptive-
+        # Wide-engine step-shape metrics describe how the run was
+        # executed (vectorized steps, frontier occupancy), which is an
+        # engine property, not a modeled-system one; the adaptive-
         # selection counter additionally depends on numpy availability.
         "wide_steps_total",
         "wide_frontier_occupancy",

@@ -61,31 +61,6 @@ class BernoulliScheduler(Schedule):
         for _ in range(self.horizon):
             yield self._draw(n, rng)
 
-    def steps_wide(self, n: int) -> Iterator[FastStep]:
-        """Vectorized Bernoulli masks off a single MT19937 stream.
-
-        One ``n``-vector of doubles per draw, compared against ``p``;
-        empty masks are re-drawn (``n`` further doubles each) exactly
-        like :meth:`_draw` — same stream, same consumption, so the
-        masks match ``steps_fast`` step by step.
-        """
-        if type(self) is not BernoulliScheduler:
-            yield from Schedule.steps_wide(self, n)
-            return
-        from repro.model.batch import MTBatch, load_numpy
-
-        np = load_numpy()
-        if np is None:
-            yield from self.steps_fast(n)
-            return
-        mt = MTBatch([self.seed], np)
-        row = [0]
-        for _ in range(self.horizon):
-            mask = mt.take(row, n)[0] < self.p
-            while not mask.any():
-                mask = mt.take(row, n)[0] < self.p
-            yield mask
-
     @classmethod
     def steps_batch(cls, schedules, n: int, active):
         """Vectorized lockstep draws over a bank of MT19937 streams.
@@ -167,34 +142,6 @@ class UniformSubsetScheduler(Schedule):
         for _ in range(self.horizon):
             size = rng.randint(1, n)
             yield rng.sample(ids, size)
-
-    def steps_wide(self, n: int) -> Iterator[FastStep]:
-        """Scalar size/sample draws scattered into one reused mask.
-
-        The draws themselves stay on ``random.Random`` (bit-identical
-        streams by construction); only the activation-set *form* is
-        vectorized — the sample is scattered into a reused boolean
-        buffer, which the wide engine consumes before the generator
-        resumes.
-        """
-        if type(self) is not UniformSubsetScheduler:
-            yield from Schedule.steps_wide(self, n)
-            return
-        from repro.model.batch import load_numpy
-
-        np = load_numpy()
-        if np is None:
-            yield from self.steps_fast(n)
-            return
-        rng = random.Random(self.seed)
-        ids = list(range(n))
-        mask = np.zeros(n, dtype=bool)
-        for _ in range(self.horizon):
-            size = rng.randint(1, n)
-            sample = np.asarray(rng.sample(ids, size), dtype=np.int64)
-            mask[:] = False
-            mask[sample] = True
-            yield mask
 
     def __repr__(self) -> str:
         return f"UniformSubsetScheduler(seed={self.seed})"

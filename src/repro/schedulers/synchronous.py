@@ -38,21 +38,6 @@ class SynchronousScheduler(Schedule):
         for _ in range(self.horizon):
             yield everyone
 
-    def steps_wide(self, n: int) -> Iterator[FastStep]:
-        """One reused full-``True`` mask per step (wide engine)."""
-        if type(self) is not SynchronousScheduler:
-            yield from Schedule.steps_wide(self, n)
-            return
-        from repro.model.batch import load_numpy
-
-        np = load_numpy()
-        if np is None:
-            yield from self.steps_fast(n)
-            return
-        everyone = np.ones(n, dtype=bool)
-        for _ in range(self.horizon):
-            yield everyone
-
     @classmethod
     def steps_batch(cls, schedules, n: int, active):
         """Everyone, every lockstep, per-replica horizons respected."""

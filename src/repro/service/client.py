@@ -227,7 +227,12 @@ class ServiceClient:
         results.
         """
         if isinstance(request, ColorRequest):
-            payload = request.config()
+            # The wire form of schedule_params is a JSON object; config()
+            # keeps its pair list, which is what request keys hash.
+            payload = {
+                **request.config(),
+                "schedule_params": dict(request.schedule_params),
+            }
         else:
             payload = dict(request)
         extra = {TRACE_HEADER: trace_header} if trace_header else None

@@ -65,11 +65,12 @@ SCHEDULER_FAMILIES = [
     ("adversarial", lambda seed: SlowChainScheduler(slow=[0], slowdown=7)),
 ]
 
-#: The engines diffed against the reference oracle.  ``batch`` has its
-#: own lockstep equivalence suite (tests/model/test_batch_engine.py);
+#: The engines diffed against the reference oracle.  ``wide`` and
+#: ``batch`` both run the plane engine as a batch of one (its lockstep
+#: B > 1 behaviour has its own suite, test_batch_equivalence.py);
 #: ``auto`` is a selection layer over these and is covered separately
 #: below.
-KERNEL_ENGINES = ("fast", "wide")
+KERNEL_ENGINES = ("fast", "wide", "batch")
 
 #: numpy/no-numpy tier axis: parametrize a test with this to run it in
 #: both the vectorized and the pure-Python tier of the wide engine.
@@ -124,7 +125,7 @@ def test_engines_bit_identical_over_25_seeds(
     for seed in range(25):
         n = 5 + (seed % 7)
         ids = random_distinct_ids(n, seed=seed)
-        reference, fast, wide = both_engines(
+        reference, fast, wide, batch = both_engines(
             factory, Cycle(n), ids, lambda: sched_factory(seed)
         )
         assert reference == fast, (
@@ -134,6 +135,10 @@ def test_engines_bit_identical_over_25_seeds(
         assert reference == wide, (
             f"{alg_name} under {sched_name} seed {seed} ({tier}): "
             f"wide diverged"
+        )
+        assert reference == batch, (
+            f"{alg_name} under {sched_name} seed {seed} ({tier}): "
+            f"batch diverged"
         )
         # The sweep must exercise real executions, not vacuous ones.
         assert reference.all_terminated or reference.final_time > 0
@@ -163,7 +168,7 @@ def test_crash_plan_equivalence(
             {"crash_after": {1: 1, n - 1: 2}},
         ]
         for plan in plans:
-            reference, fast, wide = both_engines(
+            reference, fast, wide, batch = both_engines(
                 factory, Cycle(n), ids,
                 lambda: CrashPlan(sched_factory(seed), **plan),
             )
@@ -172,6 +177,9 @@ def test_crash_plan_equivalence(
             )
             assert reference == wide, (
                 f"{alg_name}/{sched_name}/{plan} ({tier}): wide diverged"
+            )
+            assert reference == batch, (
+                f"{alg_name}/{sched_name}/{plan} ({tier}): batch diverged"
             )
 
 
@@ -192,7 +200,7 @@ def test_trace_and_register_recording_equivalence(alg_name):
             lambda: BernoulliScheduler(p=0.4, seed=seed),
             lambda: RoundRobinScheduler(),
         ):
-            reference, fast, wide = both_engines(
+            reference, fast, wide, batch = both_engines(
                 factory, Cycle(n), ids, sched,
                 max_time=2_000, record_trace=True, record_registers=True,
             )
@@ -203,7 +211,9 @@ def test_trace_and_register_recording_equivalence(alg_name):
             # generic path — the trace must still be bit-identical.
             assert wide.trace is not None
             assert reference.trace == wide.trace
+            assert reference.trace == batch.trace
             assert reference == wide
+            assert reference == batch
 
 
 @pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
@@ -225,9 +235,12 @@ def test_adversarial_gallery_equivalence(alg_name):
         ),
     ]
     for sched in adversaries:
-        reference, fast, wide = both_engines(factory, Cycle(n), ids, sched)
+        reference, fast, wide, batch = both_engines(
+            factory, Cycle(n), ids, sched
+        )
         assert reference == fast
         assert reference == wide
+        assert reference == batch
 
 
 @pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
@@ -269,12 +282,13 @@ def test_generic_path_via_subclass_matches_reference():
     for seed in range(10):
         n = 8
         ids = random_distinct_ids(n, seed=seed)
-        reference, fast, wide = both_engines(
+        reference, fast, wide, batch = both_engines(
             Subclassed, Cycle(n), ids,
             lambda: BernoulliScheduler(p=0.3, seed=seed),
         )
         assert reference == fast
         assert reference == wide  # wide declines subclasses too
+        assert reference == batch
 
 
 def test_kernel_vs_generic_dispatch():
@@ -295,24 +309,26 @@ def test_path_topology_equivalence(alg_name):
     for seed in range(5):
         n = 6
         ids = random_distinct_ids(n, seed=seed)
-        reference, fast, wide = both_engines(
+        reference, fast, wide, batch = both_engines(
             factory, Path(n), ids,
             lambda: UniformSubsetScheduler(seed=seed),
         )
         assert reference == fast
         assert reference == wide
+        assert reference == batch
 
 
 def test_max_time_exhaustion_equivalence():
     """Both engines cut off at the same time with the same flag."""
     for alg_name, factory in sorted(ALGORITHMS.items()):
-        reference, fast, wide = both_engines(
+        reference, fast, wide, batch = both_engines(
             factory, Cycle(9), random_distinct_ids(9, seed=0),
             lambda: BernoulliScheduler(p=0.2, seed=0),
             max_time=7,
         )
         assert reference == fast
         assert reference == wide
+        assert reference == batch
         assert reference.final_time <= 7
 
 
@@ -403,11 +419,12 @@ def test_non_integer_inputs_flow_through_unchanged():
     """Kernels must not coerce identifiers; ``bool`` ids (an int
     subtype that must survive verbatim in outputs/states) prove it."""
     ids = [True, 3, 7]  # True == 1, a distinct-id set with a bool
-    reference, fast, wide = both_engines(
+    reference, fast, wide, batch = both_engines(
         FastFiveColoring, Cycle(3), ids, lambda: SynchronousScheduler()
     )
     assert reference == fast
     assert reference == wide
+    assert reference == batch
 
 
 def test_huge_identifiers_take_the_scalar_tier():
@@ -416,11 +433,12 @@ def test_huge_identifiers_take_the_scalar_tier():
     from repro.analysis.inputs import huge_ids
 
     ids = huge_ids(7, seed=4)
-    reference, fast, wide = both_engines(
+    reference, fast, wide, batch = both_engines(
         FastFiveColoring, Cycle(7), ids, lambda: SynchronousScheduler()
     )
     assert reference == fast
     assert reference == wide
+    assert reference == batch
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +451,7 @@ def test_auto_never_selects_a_contract_changing_engine():
     the given request: recording and monitored runs land on engines
     that actually produce traces/registers and run monitors."""
     from repro.model.select import select_engine
-    from repro.model.wide import WIDE_KERNELS
+    from repro.model.batch import BATCH_KERNELS as WIDE_KERNELS
     from repro.obs.monitors import ActivationBudgetMonitor
 
     alg = FastFiveColoring()

@@ -245,6 +245,23 @@ class TestStepsFast:
         assert fast == slow
 
     @pytest.mark.parametrize("factory", CASES)
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_steps_wide_matches_steps(self, factory, n):
+        """``steps_wide`` — the one-replica view of ``steps_batch`` that
+        single plane-engine runs draw — replays ``steps`` too, whether
+        its rows come as id sequences or boolean masks."""
+        from repro.model.batch import _row_to_ids
+
+        def collect(iterator):
+            try:
+                return [frozenset(int(p) for p in _row_to_ids(s))
+                        for s in itertools.islice(iterator, 60)]
+            except ScheduleError:
+                return ScheduleError
+
+        assert collect(factory().steps_wide(n)) == collect(factory().steps(n))
+
+    @pytest.mark.parametrize("factory", CASES)
     def test_steps_are_duplicate_free(self, factory):
         """The fast engine trusts steps_fast items to be duplicate-free
         (it counts one activation per listed process)."""

@@ -101,6 +101,39 @@ class TestRoutes:
             with ServiceClient(port=server.port) as client:
                 assert client.healthz().body["status"] == "ok"
 
+    def test_client_sends_schedule_params(self):
+        # ColorRequest keeps schedule_params as sorted pairs; the wire
+        # form the server validates is a JSON object.
+        from repro.campaign.registry import (
+            resolve_algorithm,
+            resolve_inputs,
+            resolve_schedule,
+            resolve_topology,
+        )
+        from repro.model.execution import run_execution
+        from repro.service.schema import ColorResponse
+
+        request = ColorRequest.build(
+            "fast5", 40, schedule="bernoulli", schedule_params={"p": 0.25},
+            seed=3,
+        )
+        local = run_execution(
+            resolve_algorithm("fast5")(),
+            resolve_topology("cycle", 40),
+            resolve_inputs("random", 40, 3),
+            resolve_schedule("bernoulli", seed=3, p=0.25),
+            max_time=request.max_time,
+            engine="reference",
+        )
+        want = ColorResponse.from_execution(request, local, engine="reference")
+        with ServerThread() as server:
+            with ServiceClient(port=server.port) as client:
+                reply = client.color(request)
+                assert reply.status == 200, reply.body
+                assert reply.body["request_key"] == request.request_key
+                got = ColorResponse.from_dict(reply.body)
+                assert got.deterministic_dict() == want.deterministic_dict()
+
     def test_time_exhausted_diagnostics_are_served(self):
         # Simulation-time exhaustion is a *successful* exchange (200)
         # carrying the diagnostics, mirroring TimeExhaustedError.
