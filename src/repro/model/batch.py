@@ -60,7 +60,8 @@ from repro.model.execution import (
     ExecutionResult,
 )
 from repro.model.kernels import _degree2_arrays
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, declares
+from repro.model.schedule import _row_to_ids  # noqa: F401 - row normalizer
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry, record_execution
 from repro.obs.trace import is_recording, record_timed
@@ -145,7 +146,8 @@ class MTBatch:
     drawn from the underlying generators in blocks of ``block``
     requests and buffered per stream: the *served* sequence is still
     exactly the scalar stream, double for double, and the streams are
-    private to one batch run, so drawing ahead is unobservable.
+    private to one ``steps_batch`` iterator, so drawing ahead is
+    unobservable.
     """
 
     #: Free list of ``RandomState`` shells shared by all banks —
@@ -164,7 +166,10 @@ class MTBatch:
         self._buffers: List[Any] = []
         for seed in seeds:
             key, pos = _mt_state(seed)
-            stream = pool.pop() if pool else np.random.RandomState(0)
+            try:  # pop alone is atomic; a check-then-pop could race
+                stream = pool.pop()
+            except IndexError:
+                stream = np.random.RandomState(0)
             stream.set_state(("MT19937", key, pos))
             self._streams.append(stream)
             self._buffers.append(None)
@@ -238,13 +243,15 @@ class _GroupActive:
 def batched_steps(schedules: Sequence[Schedule], n: int, flags: List[bool]):
     """Merge per-replica schedules into one per-lockstep row stream.
 
-    Groups the schedules by *exact* type (mirroring kernel dispatch: a
-    subclass may override iteration semantics, so it gets its own
-    group, served by whatever ``steps_batch`` it inherits or defines)
-    and drives one :meth:`~repro.model.schedule.Schedule.steps_batch`
-    generator per group.  Yields, per lockstep, a list with one row
-    per replica: ``None`` for an exhausted (or already retired)
-    schedule, otherwise an activation row (id sequence or bool mask).
+    Groups the schedules by *exact* type and drives one
+    :meth:`~repro.model.schedule.Schedule.steps_batch` generator per
+    group: the type's declared vectorized stream, or the base class's
+    adapter over ``steps`` when the type declares none (see
+    :func:`~repro.model.schedule.declares` — a subclass that overrides
+    ``steps`` does not inherit its parent's ``steps_batch``).  Yields,
+    per lockstep, a list with one row per replica: ``None`` for an
+    exhausted (or already retired) schedule, otherwise an activation
+    row (id sequence or bool mask).
 
     ``flags`` is the engine-owned liveness list; the per-group
     generators see it through a read-only view and must not advance
@@ -255,7 +262,8 @@ def batched_steps(schedules: Sequence[Schedule], n: int, flags: List[bool]):
         groups.setdefault(type(schedule), []).append(j)
     gens = []
     for sched_type, indices in groups.items():
-        gen = sched_type.steps_batch(
+        owner = sched_type if declares(sched_type, "steps_batch") else Schedule
+        gen = owner.steps_batch(
             [schedules[j] for j in indices], n, _GroupActive(flags, indices)
         )
         gens.append((indices, gen))
@@ -331,13 +339,6 @@ def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 1 << 53):
         return None
     return arr
-
-
-def _row_to_ids(row: Any) -> Sequence[int]:
-    """Normalize a steps_batch row (id sequence or mask) to ids."""
-    if isinstance(row, (list, tuple, range, frozenset, set)):
-        return row
-    return row.nonzero()[0].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -841,9 +842,9 @@ def _scalar_runner(algorithms, topology, inputs_list):
     :mod:`repro.model.kernels` already compiles — so this tier *is*
     that kernel, one replica after another.  Bit-identical by
     construction: each replica consumes its own ``steps_fast`` stream,
-    which the ``steps_batch`` contract pins to what the lockstep
-    driver would have drawn.  Declines (``None``) when a scalar kernel
-    does.
+    which is its ``steps`` stream or the ids of the very rows the
+    lockstep driver would have drawn.  Declines (``None``) when a
+    scalar kernel does.
     """
     from repro.model.kernels import build_kernel
 

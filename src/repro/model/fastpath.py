@@ -33,9 +33,10 @@ per-activation overheads removed:
 * ``algorithm.register_value(state)`` is cached per process and only
   recomputed when the state object actually changed;
 * schedules are consumed through
-  :meth:`~repro.model.schedule.Schedule.steps_fast`, the reusable
-  array/range step representation, instead of per-step ``frozenset``
-  churn;
+  :meth:`~repro.model.schedule.Schedule.steps_fast`, which draws a
+  scheduler's declared vectorized stream (Bernoulli masks from the
+  ``MTBatch`` bank, the synchronous ``range``) when it has one and
+  ``n`` is large;
 * a *quiescent* process — one whose last update was a no-op and whose
   neighborhood registers are unchanged — is not re-stepped when the
   algorithm declares itself view-deterministic

@@ -28,6 +28,8 @@ __all__ = [
     "ActivationSet",
     "FastStep",
     "Schedule",
+    "VECTOR_STREAM_MIN_N",
+    "declares",
     "FiniteSchedule",
     "FunctionSchedule",
     "RecordedSchedule",
@@ -36,11 +38,8 @@ __all__ = [
 
 ActivationSet = FrozenSet[ProcessId]
 
-#: What :meth:`Schedule.steps_fast` yields: any reusable, duplicate-free
-#: iterable of process ids (tuple, list, range, or the frozensets of the
-#: default adapter).  The fast engine only iterates it, so schedulers
-#: may yield the *same* object every step instead of building a fresh
-#: ``frozenset`` per step.
+#: What :meth:`Schedule.steps_fast` yields: a duplicate-free iterable of
+#: process ids (a ``frozenset``, or a vectorized row's id list or range).
 FastStep = Union[Sequence[ProcessId], FrozenSet[ProcessId], range]
 
 
@@ -48,7 +47,7 @@ def validate_step(step: Iterable[ProcessId], n: int) -> ActivationSet:
     """Normalize one activation set and check its process ids.
 
     Empty steps are legal (they model global idle time) but the engine
-    skips them at zero cost.
+    skips them at zero cost.  A ``frozenset`` passes through uncopied.
     """
     s = frozenset(step)
     for p in s:
@@ -57,12 +56,40 @@ def validate_step(step: Iterable[ProcessId], n: int) -> ActivationSet:
     return s
 
 
+#: Smallest ``n`` at which :meth:`Schedule.steps_fast` draws a declared
+#: vectorized stream: below it a few short runs never repay importing
+#: numpy (measurements in docs/ENGINE.md, "Schedule streams").
+VECTOR_STREAM_MIN_N = 4096
+
+
+def declares(schedule_type: type, member: str) -> bool:
+    """Whether the class defining ``schedule_type.steps`` also defines
+    ``member`` (``steps_batch``, ``expected_step_size``): a subclass
+    that overrides ``steps`` loses the members it would inherit, and
+    the base class's defaults are never declarations."""
+    for klass in schedule_type.__mro__:
+        if "steps" in vars(klass):
+            return klass is not Schedule and member in vars(klass)
+    return False
+
+
+def _row_to_ids(row) -> FastStep:
+    """Normalize a ``steps_batch`` row (id sequence or mask) to ids."""
+    if isinstance(row, (list, tuple, range, frozenset, set)):
+        return row
+    return row.nonzero()[0].tolist()
+
+
 class Schedule:
     """Abstract schedule: an iterable of activation sets.
 
-    Subclasses implement :meth:`steps`; a schedule object is reusable —
-    every call to :meth:`steps` starts a fresh iteration (important for
-    running the same adversary against several algorithms).
+    Subclasses implement one stream, :meth:`steps`; every call starts a
+    fresh iteration (important for running the same adversary against
+    several algorithms).  Next to ``steps`` they may :func:`declare
+    <declares>` a vectorized :meth:`steps_batch` and an
+    ``expected_step_size(n)`` hint for ``engine="auto"``.  The engines
+    draw through the adapters :meth:`steps_fast` and :meth:`steps_wide`,
+    which nothing overrides.
     """
 
     #: Whether :meth:`steps` can be called repeatedly on the *same*
@@ -79,36 +106,20 @@ class Schedule:
         raise NotImplementedError
 
     def steps_fast(self, n: int) -> Iterator[FastStep]:
-        """Yield the same steps as :meth:`steps`, allocation-lean.
-
-        The fast execution engine iterates activation steps without ever
-        needing set semantics, so this method may yield any duplicate-free
-        iterable of process ids — a reused tuple, a ``range``, a list —
-        instead of materializing a fresh ``frozenset`` per step.
-
-        Contract: ``list(map(sorted, steps_fast(n)))`` must equal
-        ``list(map(sorted, steps(n)))`` — same steps, same order, and for
-        seeded schedulers the *same RNG stream consumption* — and every
-        yielded step must be duplicate-free.  The default adapter simply
-        delegates to :meth:`steps` (correct for any subclass, including
-        wrappers like crash plans); the built-in scheduler families
-        override it to skip the per-step ``frozenset`` churn.
-        """
+        """The id stream the scalar kernels iterate: the ids of
+        :meth:`steps_wide`'s rows when ``steps`` comes with a declared
+        ``steps_batch`` and ``n ≥`` :data:`VECTOR_STREAM_MIN_N`, else
+        :meth:`steps` — the same steps, order and RNG consumption."""
+        if n >= VECTOR_STREAM_MIN_N and declares(type(self), "steps_batch"):
+            return map(_row_to_ids, self.steps_wide(n))
         return self.steps(n)
 
     def steps_wide(self, n: int) -> Iterator[FastStep]:
-        """Yield this schedule's steps as the plane engine draws them.
-
-        The one-replica view of :meth:`steps_batch`: a single run
-        (``engine="wide"``) is a batch of one, so its steps are the
-        non-``None`` rows of ``steps_batch([self], n, …)`` — each a
-        :data:`FastStep` id sequence or a length-``n`` boolean mask.
-        A yielded mask buffer is only read before the generator is
-        resumed.  The ``steps_batch`` contract makes this the same
-        step sequence, order and RNG stream consumption as
-        :meth:`steps_fast`.
-        """
-        for rows in type(self).steps_batch([self], n, [True]):
+        """One replica's rows of the declared ``steps_batch`` (else of
+        the default adapter): id sequences or length-``n`` boolean
+        masks, each valid until the generator is resumed."""
+        cls = type(self) if declares(type(self), "steps_batch") else Schedule
+        for rows in cls.steps_batch([self], n, [True]):
             if rows[0] is None:
                 return
             yield rows[0]
@@ -120,11 +131,10 @@ class Schedule:
         The batch engine (:mod:`repro.model.batch`) drives ``B``
         same-type schedules together; each yielded value is a list of
         ``B`` rows where row ``i`` is either ``None`` (schedule ``i``
-        is exhausted) or an activation step — a :data:`FastStep` id
-        sequence, or (vectorized overrides) a length-``n`` boolean
-        mask.  The generator is *infinite*: once every schedule is
-        exhausted it keeps yielding all-``None`` rows and the engine
-        decides when to stop.
+        is exhausted) or an activation step — an id sequence, or a
+        length-``n`` boolean mask.  The generator is *infinite*: once
+        every schedule is exhausted it keeps yielding all-``None`` rows
+        and the engine decides when to stop.
 
         ``active`` is a read-only, live view of which replicas the
         engine still runs; implementations must not consume the stream
@@ -133,15 +143,12 @@ class Schedule:
         retirement of one replica must never perturb another's stream.
 
         Contract: for every replica that stays active, the sequence of
-        its non-``None`` rows must equal its own ``steps_fast(n)``
-        stream (same steps, same order, same RNG consumption).  This
-        default adapter drives one ``steps_fast`` iterator per
-        schedule and is correct for any subclass; vectorized overrides
-        (Bernoulli, synchronous, round-robin) draw whole rows at once.
-        This is the only stream the plane engine consumes, at every
-        ``B`` (see :meth:`steps_wide` for ``B = 1``).
+        its non-``None`` rows equals its own ``steps(n)`` stream (same
+        steps, same order, same RNG consumption).  This default adapter
+        drives one ``steps`` iterator per schedule; an override
+        (Bernoulli, synchronous) counts only where :func:`declares`.
         """
-        iterators = [s.steps_fast(n) for s in schedules]
+        iterators = [s.steps(n) for s in schedules]
         exhausted = [False] * len(schedules)
         while True:
             rows: List = [None] * len(schedules)
@@ -174,19 +181,9 @@ class FiniteSchedule(Schedule):
         self._raw: List[FrozenSet[ProcessId]] = [frozenset(s) for s in steps]
 
     def steps(self, n: int) -> Iterator[ActivationSet]:
+        # validate_step checks the stored frozensets without copying.
         for s in self._raw:
             yield validate_step(s, n)
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        # The stored steps are frozensets already; validate ids without
-        # the frozenset copy validate_step would make per step.
-        for s in self._raw:
-            for p in s:
-                if not (0 <= p < n):
-                    raise ScheduleError(
-                        f"schedule activates unknown process {p} (n={n})"
-                    )
-            yield s
 
     def __len__(self) -> int:
         return len(self._raw)

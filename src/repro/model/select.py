@@ -19,9 +19,13 @@ The rules, in order:
    across replicas amortizes the interpreter loop over the ensemble.
 3. Single runs go to ``wide`` when the vectorized step can pay for
    itself: numpy importable, a plane kernel registered for the exact
-   algorithm type, a schedule family with a *known* expected
-   activation-set size, ``n`` at least :data:`WIDE_MIN_N` and the
-   expected set size at least :data:`WIDE_MIN_STEP_OCCUPANCY`.
+   algorithm type, a schedule that declares its expected
+   activation-set size (``expected_step_size(n)``, defined next to its
+   ``steps`` — the synchronous, Bernoulli and uniform-subset families;
+   a wrapper, custom adversary or subclass that overrides ``steps`` is
+   opaque, see :func:`~repro.model.schedule.declares`), ``n`` at least
+   :data:`WIDE_MIN_N` and the expected set size at least
+   :data:`WIDE_MIN_STEP_OCCUPANCY`.
 4. Everything else — small ``n``, sparse or opaque schedules, unknown
    algorithm types — stays on ``fast``.
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, declares
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry
 
@@ -57,32 +61,6 @@ WIDE_MIN_N = 4096
 #: it the fixed numpy dispatch cost of a vectorized step outweighs the
 #: per-activation work it saves.
 WIDE_MIN_STEP_OCCUPANCY = 256
-
-
-def _expected_step_occupancy(schedule: Schedule, n: int) -> Optional[float]:
-    """Expected activation-set size per step, or ``None`` if unknown.
-
-    Computed from the *exact type* of the schedule (a subclass may
-    override step generation, so it gets no credit for its parent's
-    shape).  Only the synchronous, Bernoulli and uniform-subset
-    families, whose step sizes follow from their parameters, are
-    recognized; any wrapper or custom adversary is opaque and scores
-    ``None``.
-    """
-    from repro.schedulers.random_async import (
-        BernoulliScheduler,
-        UniformSubsetScheduler,
-    )
-    from repro.schedulers.synchronous import SynchronousScheduler
-
-    kind = type(schedule)
-    if kind is SynchronousScheduler:
-        return float(n)
-    if kind is BernoulliScheduler:
-        return schedule.p * n
-    if kind is UniformSubsetScheduler:
-        return (n + 1) / 2
-    return None
 
 
 def _decide(
@@ -109,9 +87,9 @@ def _decide(
     if type(algorithm) not in BATCH_KERNELS:
         return "fast", "no-wide-kernel"
     n = topology.n
-    occupancy = _expected_step_occupancy(schedule, n)
-    if occupancy is None:
+    if not declares(type(schedule), "expected_step_size"):
         return "fast", "opaque-schedule"
+    occupancy = schedule.expected_step_size(n)
     if n < WIDE_MIN_N:
         return "fast", "small-n"
     if occupancy < WIDE_MIN_STEP_OCCUPANCY:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Set
 
 from repro.errors import ScheduleError
-from repro.model.schedule import ActivationSet, FastStep, Schedule
+from repro.model.schedule import ActivationSet, Schedule
 
 __all__ = [
     "SoloScheduler",
@@ -58,16 +58,6 @@ class SoloScheduler(Schedule):
         for _ in range(self.horizon):
             yield everyone
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        if not (0 <= self.pid < n):
-            raise ScheduleError(f"solo process {self.pid} out of range (n={n})")
-        me = (self.pid,)
-        for _ in range(self.solo_steps):
-            yield me
-        everyone = range(n)
-        for _ in range(self.horizon):
-            yield everyone
-
     def __repr__(self) -> str:
         return f"SoloScheduler(pid={self.pid}, solo_steps={self.solo_steps})"
 
@@ -86,12 +76,6 @@ class LateWakeupScheduler(Schedule):
     def steps(self, n: int) -> Iterator[ActivationSet]:
         awake_only = frozenset(p for p in range(n) if p not in self.sleepers)
         everyone = frozenset(range(n))
-        for t in range(1, self.horizon + 1):
-            yield everyone if t >= self.wake_time else awake_only
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        awake_only = tuple(p for p in range(n) if p not in self.sleepers)
-        everyone = range(n)
         for t in range(1, self.horizon + 1):
             yield everyone if t >= self.wake_time else awake_only
 
@@ -125,12 +109,6 @@ class SlowChainScheduler(Schedule):
         for t in range(1, self.horizon + 1):
             yield everyone if t % self.slowdown == 0 else fast
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        fast = tuple(p for p in range(n) if p not in self.slow)
-        everyone = range(n)
-        for t in range(1, self.horizon + 1):
-            yield everyone if t % self.slowdown == 0 else fast
-
     def __repr__(self) -> str:
         return (
             f"SlowChainScheduler(slow={sorted(self.slow)}, "
@@ -154,20 +132,14 @@ class StaggeredScheduler(Schedule):
         self.horizon = horizon
 
     def steps(self, n: int) -> Iterator[ActivationSet]:
+        # Process i is awake iff i·stagger ≤ t − 1: the awake set is a
+        # prefix of 0..n−1, rebuilt only when it grows.
+        awake: ActivationSet = frozenset()
         for t in range(1, self.horizon + 1):
-            awake = frozenset(
-                i for i in range(n) if t >= 1 + i * self.stagger
-            )
+            size = n if self.stagger == 0 else min(n, (t - 1) // self.stagger + 1)
+            if size != len(awake):
+                awake = frozenset(range(size))
             yield awake if awake else frozenset({0})
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        # Process i is awake iff i*stagger <= t-1: the awake set is
-        # always a prefix of 0..n-1, so a range suffices.
-        for t in range(1, self.horizon + 1):
-            if self.stagger == 0:
-                yield range(n)
-            else:
-                yield range(min(n, (t - 1) // self.stagger + 1))
 
     def __repr__(self) -> str:
         return f"StaggeredScheduler(stagger={self.stagger})"
@@ -187,14 +159,6 @@ class AlternatingScheduler(Schedule):
     def steps(self, n: int) -> Iterator[ActivationSet]:
         evens = frozenset(i for i in range(n) if i % 2 == 0)
         odds = frozenset(i for i in range(n) if i % 2 == 1)
-        if not odds:  # n == 1 degenerate case
-            odds = evens
-        for t in range(1, self.horizon + 1):
-            yield evens if t % 2 == 1 else odds
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        evens = range(0, n, 2)
-        odds = range(1, n, 2)
         if not odds:  # n == 1 degenerate case
             odds = evens
         for t in range(1, self.horizon + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import ScheduleError
-from repro.model.schedule import ActivationSet, FastStep, Schedule, validate_step
+from repro.model.schedule import ActivationSet, Schedule, validate_step
 
 __all__ = ["ConcatScheduler", "BurstScheduler", "InterleaveScheduler"]
 
@@ -39,17 +39,6 @@ class ConcatScheduler(Schedule):
                 if budget is not None and count >= budget:
                     break
                 yield validate_step(step, n)
-                count += 1
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        # Constituent schedules validate their own fast steps (the
-        # default adapter goes through validate_step), so no re-check.
-        for schedule, budget in self.phases:
-            count = 0
-            for step in schedule.steps_fast(n):
-                if budget is not None and count >= budget:
-                    break
-                yield step
                 count += 1
 
     def __repr__(self) -> str:
@@ -82,17 +71,6 @@ class BurstScheduler(Schedule):
                     if emitted >= self.horizon:
                         return
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        emitted = 0
-        while emitted < self.horizon:
-            for p in range(n):
-                me = (p,)
-                for _ in range(self.burst):
-                    yield me
-                    emitted += 1
-                    if emitted >= self.horizon:
-                        return
-
     def __repr__(self) -> str:
         return f"BurstScheduler(burst={self.burst})"
 
@@ -114,16 +92,6 @@ class InterleaveScheduler(Schedule):
             try:
                 yield validate_step(next(a), n)
                 yield validate_step(next(b), n)
-            except StopIteration:
-                return
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        a = self.first.steps_fast(n)
-        b = self.second.steps_fast(n)
-        while True:
-            try:
-                yield next(a)
-                yield next(b)
             except StopIteration:
                 return
 

@@ -12,10 +12,10 @@ interesting run exactly.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import ScheduleError
-from repro.model.schedule import ActivationSet, FastStep, Schedule
+from repro.model.schedule import ActivationSet, Schedule
 
 __all__ = [
     "BernoulliScheduler",
@@ -41,25 +41,23 @@ class BernoulliScheduler(Schedule):
         self.seed = seed
         self.horizon = horizon
 
-    def _draw(self, n: int, rng: random.Random) -> List[int]:
-        """One non-empty Bernoulli draw; redraws consume ``n`` further
-        RNG values each, exactly like a fresh draw — the replayability
-        contract (a given seed always produces the same step stream,
-        redraws included)."""
-        while True:
-            step = [i for i in range(n) if rng.random() < self.p]
-            if step:
-                return step
-
     def steps(self, n: int) -> Iterator[ActivationSet]:
+        # An empty draw is redrawn, consuming ``n`` further RNG values
+        # exactly like a fresh draw — the replayability contract (a
+        # given seed always produces the same step stream, redraws
+        # included).
         rng = random.Random(self.seed)
+        p = self.p
         for _ in range(self.horizon):
-            yield frozenset(self._draw(n, rng))
+            while True:
+                step = [i for i in range(n) if rng.random() < p]
+                if step:
+                    break
+            yield frozenset(step)
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        rng = random.Random(self.seed)
-        for _ in range(self.horizon):
-            yield self._draw(n, rng)
+    def expected_step_size(self, n: int) -> float:
+        """The mean of Binomial(n, p), ignoring redrawn empty steps."""
+        return self.p * n
 
     @classmethod
     def steps_batch(cls, schedules, n: int, active):
@@ -68,17 +66,16 @@ class BernoulliScheduler(Schedule):
         Draws one ``(live, n)`` matrix of doubles per lockstep and
         compares against each stream's ``p``; rows that come out empty
         are re-drawn (``n`` further doubles each), replicating
-        :meth:`_draw`'s consumption exactly — stream ``i`` sees the
+        :meth:`steps`'s consumption exactly — stream ``i`` sees the
         same doubles, in the same order, as ``random.Random(seed_i)``
-        would, so the yielded masks match ``steps_fast`` step by step.
-        Retired replicas stop consuming entirely.
+        would, so the yielded masks match ``steps`` step by step.
+        Retired replicas stop consuming entirely.  Without numpy this
+        is the base class's adapter over ``steps``.
         """
         from repro.model.batch import MTBatch, load_numpy
 
         np = load_numpy()
-        if cls is not BernoulliScheduler or np is None:
-            # Subclasses may override _draw/steps; and without numpy
-            # the scalar streams are the ground truth anyway.
+        if np is None:
             yield from Schedule.steps_batch(schedules, n, active)
             return
         B = len(schedules)
@@ -136,12 +133,9 @@ class UniformSubsetScheduler(Schedule):
             size = rng.randint(1, n)
             yield frozenset(rng.sample(ids, size))
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        rng = random.Random(self.seed)
-        ids = list(range(n))
-        for _ in range(self.horizon):
-            size = rng.randint(1, n)
-            yield rng.sample(ids, size)
+    def expected_step_size(self, n: int) -> float:
+        """The mean of the uniform size draw from ``1..n``."""
+        return (n + 1) / 2
 
     def __repr__(self) -> str:
         return f"UniformSubsetScheduler(seed={self.seed})"
@@ -202,13 +196,6 @@ class GeometricRateScheduler(Schedule):
             else:
                 # Avoid burning simulated time on global idleness.
                 yield frozenset({rng.randrange(n)})
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        rng = random.Random(self.seed)
-        rates = self._resolve_rates(n, rng)
-        for _ in range(self.horizon):
-            step = [i for i in range(n) if rng.random() < rates[i]]
-            yield step if step else [rng.randrange(n)]
 
     def __repr__(self) -> str:
         return (

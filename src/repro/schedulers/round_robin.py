@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import ScheduleError
-from repro.model.schedule import ActivationSet, FastStep, Schedule
+from repro.model.schedule import ActivationSet, Schedule
 
 __all__ = ["RoundRobinScheduler", "BlockRoundRobinScheduler"]
 
@@ -26,32 +26,14 @@ class RoundRobinScheduler(Schedule):
         self.horizon = horizon
 
     def steps(self, n: int) -> Iterator[ActivationSet]:
+        # One shared singleton per process, built on first use.
+        singletons = [None] * n
         for t in range(self.horizon):
-            yield frozenset({(t + self.offset) % n})
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        singletons = [(p,) for p in range(n)]
-        for t in range(self.horizon):
-            yield singletons[(t + self.offset) % n]
-
-    @classmethod
-    def steps_batch(cls, schedules, n: int, active):
-        """Per-replica rotation counters over one shared singleton table."""
-        if cls is not RoundRobinScheduler:
-            yield from Schedule.steps_batch(schedules, n, active)
-            return
-        singletons = [(p,) for p in range(n)]
-        B = len(schedules)
-        offsets = [s.offset for s in schedules]
-        horizons = [s.horizon for s in schedules]
-        emitted = [0] * B
-        while True:
-            rows = [None] * B
-            for i in range(B):
-                if active[i] and emitted[i] < horizons[i]:
-                    rows[i] = singletons[(emitted[i] + offsets[i]) % n]
-                    emitted[i] += 1
-            yield rows
+            p = (t + self.offset) % n
+            me = singletons[p]
+            if me is None:
+                me = singletons[p] = frozenset((p,))
+            yield me
 
     def __repr__(self) -> str:
         return f"RoundRobinScheduler(offset={self.offset})"
@@ -78,12 +60,6 @@ class BlockRoundRobinScheduler(Schedule):
         for t in range(self.horizon):
             start = (t * k + self.offset) % n
             yield frozenset((start + i) % n for i in range(k))
-
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        k = min(self.k, n)
-        for t in range(self.horizon):
-            start = (t * k + self.offset) % n
-            yield tuple((start + i) % n for i in range(k))
 
     def __repr__(self) -> str:
         return f"BlockRoundRobinScheduler(k={self.k}, offset={self.offset})"

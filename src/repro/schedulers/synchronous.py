@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.model.schedule import ActivationSet, FastStep, Schedule
+from repro.model.schedule import ActivationSet, Schedule
 
 __all__ = ["SynchronousScheduler"]
 
@@ -33,17 +33,13 @@ class SynchronousScheduler(Schedule):
         for _ in range(self.horizon):
             yield everyone
 
-    def steps_fast(self, n: int) -> Iterator[FastStep]:
-        everyone = range(n)
-        for _ in range(self.horizon):
-            yield everyone
+    def expected_step_size(self, n: int) -> float:
+        """Everyone is activated every step."""
+        return float(n)
 
     @classmethod
     def steps_batch(cls, schedules, n: int, active):
         """Everyone, every lockstep, per-replica horizons respected."""
-        if cls is not SynchronousScheduler:
-            yield from Schedule.steps_batch(schedules, n, active)
-            return
         everyone = range(n)
         B = len(schedules)
         horizons = [s.horizon for s in schedules]

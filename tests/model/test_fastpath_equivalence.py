@@ -55,6 +55,20 @@ from repro.schedulers import (
     UniformSubsetScheduler,
 )
 
+class EveryOtherBernoulli(BernoulliScheduler):
+    """A subclass whose ``steps`` keeps every other parent step.
+
+    It still terminates, but its stream differs from the parent's, so
+    an engine that draws the inherited vectorized stream instead of
+    the overriding ``steps`` diverges from the reference.
+    """
+
+    def steps(self, n):
+        for t, step in enumerate(super().steps(n)):
+            if t % 2 == 0:
+                yield step
+
+
 #: Scheduler families of the sweep: synchronous, seeded random, and
 #: structured adversaries.  Factories take ``seed`` so random families
 #: get a fresh stream per case while structured ones ignore it.
@@ -63,6 +77,7 @@ SCHEDULER_FAMILIES = [
     ("bernoulli", lambda seed: BernoulliScheduler(p=0.35, seed=seed)),
     ("uniform-subset", lambda seed: UniformSubsetScheduler(seed=seed)),
     ("adversarial", lambda seed: SlowChainScheduler(slow=[0], slowdown=7)),
+    ("bernoulli-override", lambda seed: EveryOtherBernoulli(p=0.35, seed=seed)),
 ]
 
 #: The engines diffed against the reference oracle.  ``wide`` and
