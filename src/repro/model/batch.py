@@ -320,14 +320,21 @@ def build_batch_kernel(
     return factory(algorithms, topology, inputs_list)
 
 
+#: Exclusive bound on identifiers the numpy tier packs: the register
+#: word ``x << 6 | a << 3 | b`` keeps six bits for the two colors, so an
+#: id below ``2**57`` leaves the int64 word non-negative and exact.
+_MAX_LANE_ID = 1 << 57
+
+
 def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
     """The identifiers as a ``(B, n)`` int64 array, or ``None``.
 
-    The numpy tier keeps identifiers in int64 lanes and derives bit
-    lengths through ``frexp``, which is exact only below ``2**53`` —
-    the ``huge`` input family (256-bit ids) must take the scalar tier,
-    as must any non-integer identifiers (which numpy would silently
-    coerce; ``bool`` is fine, ``True == 1`` survives the round trip).
+    The numpy tier packs identifiers beside a six-bit color field and
+    takes their bit lengths exactly, which holds below ``2**57``
+    (:data:`_MAX_LANE_ID`) — the ``huge`` input family (256-bit ids)
+    must take the scalar tier, as must any non-integer identifiers
+    (which numpy would silently coerce; ``bool`` is fine, ``True == 1``
+    survives the round trip).
     """
     try:
         raw = np.asarray(inputs_list)
@@ -336,7 +343,7 @@ def _ids_as_int64(np, inputs_list: Sequence[Sequence[Any]]):
     if raw.dtype != np.bool_ and not np.issubdtype(raw.dtype, np.integer):
         return None
     arr = raw.astype(np.int64)
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= 1 << 53):
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= _MAX_LANE_ID):
         return None
     return arr
 
@@ -552,15 +559,28 @@ def _color_luts(np):
     return a_bit, b_bit, mex
 
 
+def _bit_length_np(np, x):
+    """``int.bit_length`` of each non-negative int64 in ``x``, exactly.
+
+    A ``frexp`` exponent is the bit length only while the value is
+    exact in float64 (below ``2**53``); each 32-bit half always is.
+    """
+    hi = x >> 32
+    return np.where(
+        hi > 0,
+        np.frexp(hi.astype(np.float64))[1] + 32,
+        np.frexp((x & 0xFFFFFFFF).astype(np.float64))[1],
+    ).astype(np.int64)
+
+
 def _rid_np(np, x, y):
     """Vectorized :func:`repro.core.coin_tossing.reduce_identifier`.
 
-    Bit lengths come from ``frexp`` exponents, exact only below
-    ``2**53`` — the factories gate identifiers accordingly.
+    Bit lengths are exact for every id the lanes hold (below
+    ``2**57``); the lowest set bit of ``x ^ y`` is a power of two, so
+    its ``frexp`` exponent is exact at any width.
     """
-    blx = np.frexp(x.astype(np.float64))[1].astype(np.int64)
-    bly = np.frexp(y.astype(np.float64))[1].astype(np.int64)
-    cap = np.minimum(blx, bly)
+    cap = np.minimum(_bit_length_np(np, x), _bit_length_np(np, y))
     diff = x ^ y
     lsb_len = np.frexp((diff & -diff).astype(np.float64))[1].astype(np.int64)
     i = np.where(diff == 0, cap, np.minimum(cap, lsb_len - 1))
@@ -654,7 +674,7 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
                   guarded_adoption):
     # State and register planes are flat int64 arrays of length
     # ``B × (n + 1)`` (see :func:`_drive`).  The whole (x, a, b) triple
-    # is packed into one word, ``x << 6 | a << 3 | b`` — ids are < 2⁵³
+    # is packed into one word, ``x << 6 | a << 3 | b`` — ids are < 2⁵⁷
     # (gated by :func:`_ids_as_int64`) and colors are ≤ 4, so each
     # field is exact, and the register sentinel −1 unpacks under
     # arithmetic shifts to x = −1, a = b = 7, values no real state can

@@ -26,7 +26,6 @@ Third-party algorithms can register their own kernels with
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.model.execution import ExecutionResult
@@ -86,26 +85,20 @@ def build_kernel(algorithm, topology: Topology, inputs: List[Any]):
 # Shared pieces
 # ----------------------------------------------------------------------
 
-#: Per-topology-object memo for :func:`_degree2_arrays` — topologies
-#: are immutable once built, and both the per-run and batched kernel
-#: factories call this on every build, so the n ``neighbors()`` walks
-#: are paid once per topology instance.  ``False`` records a declined
-#: (too dense) topology; weak keys keep the memo from pinning objects.
-_DEGREE2_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _degree2_arrays(topology: Topology) -> Optional[Tuple[List[int], List[int]]]:
     """Neighbor ids as two flat arrays (−1 = absent), or ``None``.
 
     The shipped kernels specialize for the paper's degree-≤2 topologies
     (cycles, paths); anything denser falls back to the generic path.
-    The returned arrays are cached per topology object and shared —
-    callers must treat them as read-only.
+    Topologies are immutable once built, and both the per-run and
+    batched kernel factories call this on every build, so the arrays
+    are memoized in the instance's ``__dict__`` (``False`` records a
+    declined topology) — never keyed on its hash, which sorts all n
+    adjacency tuples.  Objects without a ``__dict__`` get no memo.
+    The arrays are shared: callers must treat them as read-only.
     """
-    try:
-        cached = _DEGREE2_CACHE.get(topology)
-    except TypeError:  # unhashable / non-weakrefable topology
-        cached = None
+    memo = getattr(topology, "__dict__", None)
+    cached = memo.get("_degree2_arrays") if memo is not None else None
     if cached is not None:
         return None if cached is False else cached
     n = topology.n
@@ -121,10 +114,8 @@ def _degree2_arrays(topology: Topology) -> Optional[Tuple[List[int], List[int]]]
             nb1[p] = nbrs[0]
         if len(nbrs) == 2:
             nb2[p] = nbrs[1]
-    try:
-        _DEGREE2_CACHE[topology] = arrays
-    except TypeError:
-        pass
+    if memo is not None:
+        memo["_degree2_arrays"] = arrays
     return None if arrays is False else arrays
 
 

@@ -142,9 +142,9 @@ class Topology:
 
     def __hash__(self) -> int:
         # Memoized: topologies are immutable after construction, and the
-        # kernel caches (WeakKeyDictionary keyed on the topology) hash on
-        # every engine run — recomputing over the full edge list would
-        # cost O(n log n) per run at n = 10⁶.
+        # full edge list costs O(n log n) to hash at n = 10⁶.  No kernel
+        # cache hashes topologies: the engines memoize their neighbor
+        # arrays on the instance (see kernels._degree2_arrays).
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash(

@@ -4,11 +4,11 @@
 :class:`~repro.pool.pool.WorkerPool` child process.  It warms the
 expensive import graph exactly once (kernels, fast path, batch engine,
 registries) and then serves tasks until it receives the ``None``
-sentinel — so the kernel caches, ``_degree2_arrays`` weakref cache and
-register-value identity caches built by one task stay hot for every
-task after it.  That spawn-once/warm-forever lifecycle is the whole
-point of the pool: the per-task cost is one queue hop, not an
-interpreter plus an import tree.
+sentinel — so the kernel caches and register-value identity caches
+built by one task stay hot for every task after it (neighbor arrays
+are memoized on the topology instance and live as long as it).  That
+spawn-once/warm-forever lifecycle is the whole point of the pool: the
+per-task cost is one queue hop, not an interpreter plus an import tree.
 
 Two task kinds cross the queue, both as plain JSON-shaped dicts (the
 pickle-light protocol — no live objects, everything rebuilt from the

@@ -283,7 +283,7 @@ def test_pure_python_tier_bit_identical(alg_name, monkeypatch):
 
 
 def test_pure_tier_handles_huge_ids(monkeypatch):
-    """Ids ≥ 2**53 exceed the packed int64 layout; the pure tier covers
+    """Ids ≥ 2**57 exceed the packed int64 layout; the pure tier covers
     them (the numpy tier declines to pack and the driver falls back)."""
     monkeypatch.setenv(NUMPY_ENV_FLAG, "1")
     factory = ALGORITHMS[sorted(ALGORITHMS)[0]]
@@ -303,7 +303,7 @@ def test_pure_tier_handles_huge_ids(monkeypatch):
 
 def test_numpy_tier_huge_ids_fall_back_to_pure():
     """Same huge-id batch with numpy available: results still identical
-    (the packed layout is gated on ids < 2**53)."""
+    (the packed layout is gated on ids < 2**57)."""
     if not numpy_accelerated():
         pytest.skip("numpy unavailable")
     factory = ALGORITHMS[sorted(ALGORITHMS)[0]]

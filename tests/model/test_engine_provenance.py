@@ -65,3 +65,20 @@ def test_batch_records_its_replicas():
     assert len(runs) == 1
     assert runs[0]["replicas"] == 3
     assert 0.0 <= runs[0]["occupancy"] <= 1.0
+
+
+@pytest.mark.skipif(not numpy_accelerated(), reason="vector tier needs numpy")
+def test_wide_largest_lane_id_runs_the_vector_tier():
+    ids = random_distinct_ids(64, seed=1)
+    ids[7] = 2**57 - 1
+    (attrs,) = engine_runs(wide_run(ids))
+    assert attrs["tier"] == "vector"
+    assert attrs["dense_steps"] > 0
+
+
+def test_wide_id_at_the_lane_limit_runs_the_scalar_tier():
+    ids = random_distinct_ids(64, seed=1)
+    ids[7] = 2**57
+    runs = [a for a in engine_runs(wide_run(ids)) if a["engine"] == "wide"]
+    assert len(runs) == 1
+    assert runs[0]["tier"] == "scalar"
