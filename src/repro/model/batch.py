@@ -518,6 +518,20 @@ class _LazyMapping(_MappingABC):
     def __contains__(self, key) -> bool:
         return key in self._materialize()
 
+    # The dict's own views and ``get``: the ``Mapping`` mixins would
+    # call the Python-level ``__getitem__`` once per element.
+    def keys(self):
+        return self._materialize().keys()
+
+    def values(self):
+        return self._materialize().values()
+
+    def items(self):
+        return self._materialize().items()
+
+    def get(self, key, default=None):
+        return self._materialize().get(key, default)
+
     def __eq__(self, other) -> Any:
         if isinstance(other, _LazyMapping):
             other = other._materialize()

@@ -96,11 +96,10 @@ class FastExecutor:
         self.inputs = list(inputs)
         self.record_trace = record_trace or record_registers
         self.record_registers = record_registers
-        # Resolved once: the per-process neighbor tuples the reference
-        # engine re-fetches on every activation.
-        self._neighbors: List[tuple] = [
-            topology.neighbors(p) for p in topology.processes()
-        ]
+        # The per-process neighbor tuples the reference engine re-fetches
+        # on every activation, resolved on the first generic-path run
+        # (kernel runs never read them).
+        self._neighbors: Optional[List[tuple]] = None
         # Kernel compilation happens once per executor; tracing runs
         # need the generic path (kernels skip payload materialization).
         self._kernel = None
@@ -172,6 +171,10 @@ class FastExecutor:
         record_trace = self.record_trace
         record_registers = self.record_registers
         neighbors = self._neighbors
+        if neighbors is None:
+            neighbors = self._neighbors = [
+                self.topology.neighbors(p) for p in self.topology.processes()
+            ]
 
         registers = RegisterFile(n)
         for p in range(n):

@@ -90,6 +90,10 @@ def _degree2_arrays(topology: Topology) -> Optional[Tuple[List[int], List[int]]]
 
     The shipped kernels specialize for the paper's degree-≤2 topologies
     (cycles, paths); anything denser falls back to the generic path.
+    :class:`~repro.model.topology.Cycle` and
+    :class:`~repro.model.topology.Path` supply the arrays themselves
+    (``_degree2_lists``, built from ``range`` at C speed); other graphs
+    and duck-typed objects are read node by node through ``neighbors``.
     Topologies are immutable once built, and both the per-run and
     batched kernel factories call this on every build, so the arrays
     are memoized in the instance's ``__dict__`` (``False`` records a
@@ -101,22 +105,30 @@ def _degree2_arrays(topology: Topology) -> Optional[Tuple[List[int], List[int]]]
     cached = memo.get("_degree2_arrays") if memo is not None else None
     if cached is not None:
         return None if cached is False else cached
+    closed_form = getattr(topology, "_degree2_lists", None)
+    if closed_form is not None:
+        arrays: Any = closed_form()
+    else:
+        arrays = _degree2_scan(topology)
+    if memo is not None:
+        memo["_degree2_arrays"] = arrays
+    return None if arrays is False else arrays
+
+
+def _degree2_scan(topology) -> Any:
+    """``_degree2_arrays`` node by node, or ``False`` above degree 2."""
     n = topology.n
     nb1 = [-1] * n
     nb2 = [-1] * n
-    arrays: Any = (nb1, nb2)
     for p in range(n):
         nbrs = topology.neighbors(p)
         if len(nbrs) > 2:
-            arrays = False
-            break
+            return False
         if len(nbrs) >= 1:
             nb1[p] = nbrs[0]
         if len(nbrs) == 2:
             nb2[p] = nbrs[1]
-    if memo is not None:
-        memo["_degree2_arrays"] = arrays
-    return None if arrays is False else arrays
+    return nb1, nb2
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ this.
 from __future__ import annotations
 
 import itertools
+import operator
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import TopologyError
@@ -45,6 +47,13 @@ class Topology:
         neighbors[q]``), irreflexive, and duplicate-free.
     name:
         Human-readable label used in reprs and experiment reports.
+
+    The constructor validates every node and freezes the adjacency into
+    a dict of tuples, O(n) time and memory.  :class:`Cycle` and
+    :class:`Path` skip it: their adjacency is arithmetic, so they store
+    only ``n`` and ``name`` and build this dict (through this
+    constructor) only when equality, hashing, shuffling or an induced
+    subgraph needs it.
     """
 
     def __init__(self, neighbors: Dict[ProcessId, Sequence[ProcessId]], name: str = "graph"):
@@ -88,7 +97,7 @@ class Topology:
 
     def degree(self, p: ProcessId) -> int:
         """Degree of process ``p``."""
-        return len(self._neighbors[p])
+        return len(self.neighbors(p))
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the graph."""
@@ -103,7 +112,7 @@ class Topology:
 
     def are_adjacent(self, p: ProcessId, q: ProcessId) -> bool:
         """Whether ``p ~ q``."""
-        return q in self._neighbors[p]
+        return q in self.neighbors(p)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -142,9 +151,10 @@ class Topology:
 
     def __hash__(self) -> int:
         # Memoized: topologies are immutable after construction, and the
-        # full edge list costs O(n log n) to hash at n = 10⁶.  No kernel
-        # cache hashes topologies: the engines memoize their neighbor
-        # arrays on the instance (see kernels._degree2_arrays).
+        # full edge list costs O(n log n) to hash at n = 10⁶ (on a Cycle
+        # or Path it also builds the adjacency dict).  No kernel cache
+        # hashes topologies: the engines memoize their neighbor arrays
+        # on the instance (see kernels._degree2_arrays).
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash(
@@ -154,29 +164,113 @@ class Topology:
         return h
 
 
-class Cycle(Topology):
-    """The cycle ``C_n`` for ``n ≥ 3`` — the paper's primary topology."""
+class _ClosedFormTopology(Topology):
+    """A degree-≤2 topology whose adjacency is arithmetic in ``p``.
+
+    Instances store only ``n`` and ``name``: ``neighbors``, ``degree``,
+    ``max_degree``, ``are_adjacent`` and ``edges`` are computed, with
+    exactly the values and orders of the equivalent validated
+    :class:`Topology`.  The generic adjacency dict, read only by
+    ``__eq__``, ``__hash__``, ``with_shuffled_neighbors`` and
+    ``induced_subgraph``, is built on first use through the validating
+    :class:`Topology` constructor, so its per-node checks still run
+    whenever it exists.  Subclasses define ``neighbors``, ``max_degree``,
+    ``edges`` and ``_degree2_lists`` (the engines' neighbor tables).
+    """
+
+    def __init__(self, n: int, name: str):
+        self._n = n
+        self.name = name
+
+    @cached_property
+    def _neighbors(self) -> Dict[ProcessId, Tuple[ProcessId, ...]]:
+        adjacency = {p: self.neighbors(p) for p in range(self._n)}
+        return Topology(adjacency, name=self.name)._neighbors
+
+    def _index(self, p: ProcessId) -> int:
+        """``p`` as an int in ``0..n-1``; ``KeyError`` otherwise."""
+        try:
+            i = operator.index(p)
+        except TypeError:
+            raise KeyError(p) from None
+        if not 0 <= i < self._n:
+            raise KeyError(p)
+        return i
+
+
+class Cycle(_ClosedFormTopology):
+    """The cycle ``C_n`` for ``n ≥ 3`` — the paper's primary topology.
+
+    Closed form: process ``p``'s neighbors are ``((p − 1) mod n,
+    (p + 1) mod n)``, so building ``C_10^6`` costs O(1) time and memory.
+    """
 
     def __init__(self, n: int):
         if n < 3:
             raise TopologyError(f"a cycle needs n >= 3, got n={n}")
-        super().__init__(
-            {i: ((i - 1) % n, (i + 1) % n) for i in range(n)},
-            name=f"C_{n}",
-        )
+        super().__init__(n, name=f"C_{n}")
+
+    def neighbors(self, p: ProcessId) -> Tuple[ProcessId, ...]:
+        """``((p − 1) mod n, (p + 1) mod n)``."""
+        n = self._n
+        if p.__class__ is not int or not 0 <= p < n:
+            p = self._index(p)
+        return ((p - 1) % n, (p + 1) % n)
+
+    def max_degree(self) -> int:
+        """Every process has degree 2."""
+        return 2
+
+    def edges(self) -> Iterator[Tuple[ProcessId, ProcessId]]:
+        """``(0, n − 1)``, then ``(p, p + 1)`` for ``p < n − 1``."""
+        n = self._n
+        yield (0, n - 1)
+        yield from zip(range(n - 1), range(1, n))
+
+    def _degree2_lists(self) -> Tuple[List[int], List[int]]:
+        """First and second neighbor of every process: ``range(n)``
+        rotated right and left by one, as fresh lists built by C-speed
+        slicing that share one set of int objects (the engines memoize
+        them; see ``kernels._degree2_arrays``)."""
+        ids = list(range(self._n))
+        return ids[-1:] + ids[:-1], ids[1:] + ids[:1]
 
 
-class Path(Topology):
-    """The path ``P_n`` for ``n ≥ 2`` (useful for chain-based lemma tests)."""
+class Path(_ClosedFormTopology):
+    """The path ``P_n`` for ``n ≥ 2`` (useful for chain-based lemma tests).
+
+    Closed form: the endpoints have the single neighbors ``1`` and
+    ``n − 2``; every inner ``p`` has ``(p − 1, p + 1)``.
+    """
 
     def __init__(self, n: int):
         if n < 2:
             raise TopologyError(f"a path needs n >= 2, got n={n}")
-        adj: Dict[ProcessId, List[ProcessId]] = {i: [] for i in range(n)}
-        for i in range(n - 1):
-            adj[i].append(i + 1)
-            adj[i + 1].append(i)
-        super().__init__({p: tuple(v) for p, v in adj.items()}, name=f"P_{n}")
+        super().__init__(n, name=f"P_{n}")
+
+    def neighbors(self, p: ProcessId) -> Tuple[ProcessId, ...]:
+        """``(p − 1, p + 1)`` clipped to ``0..n-1``."""
+        if p.__class__ is not int or not 0 < p < self._n - 1:
+            p = self._index(p)
+            if p == 0:
+                return (1,)
+            if p == self._n - 1:
+                return (p - 1,)
+        return (p - 1, p + 1)
+
+    def max_degree(self) -> int:
+        """2, or 1 for ``P_2``."""
+        return 1 if self._n == 2 else 2
+
+    def edges(self) -> Iterator[Tuple[ProcessId, ProcessId]]:
+        """``(p, p + 1)`` for ``p < n − 1``."""
+        return zip(range(self._n - 1), range(1, self._n))
+
+    def _degree2_lists(self) -> Tuple[List[int], List[int]]:
+        """As :meth:`Cycle._degree2_lists`; −1 marks an endpoint's
+        absent second neighbor."""
+        ids = list(range(self._n))
+        return ids[1:2] + ids[:-1], [-1] + ids[2:] + [-1]
 
 
 class CompleteGraph(Topology):

@@ -443,7 +443,7 @@ def test_non_integer_inputs_flow_through_unchanged():
 
 
 def test_huge_identifiers_take_the_scalar_tier():
-    """Identifiers ≥ 2⁵³ cannot live in exact int64 lanes; the wide
+    """Identifiers ≥ 2⁵⁷ cannot live in exact int64 lanes; the wide
     engine must route them through its scalar tier, bit-identically."""
     from repro.analysis.inputs import huge_ids
 
