@@ -81,7 +81,9 @@ def test_batch_vs_sequential_throughput():
     seq_results, seq_time = measure_sequential()
     batch_results, batch_time = measure_batch()
 
-    assert batch_results is not None, "batch engine declined the workload"
+    assert all(r.engine == "batch" for r in batch_results), (
+        "batch engine declined the workload"
+    )
     assert all(r.all_terminated for r in seq_results)
     # Bit-identical per replica — the speedup must not buy any drift.
     for i, (got, want) in enumerate(zip(batch_results, seq_results)):

@@ -148,9 +148,9 @@ def run_ensemble(
     for every run of the grid (see
     :data:`repro.model.execution.ENGINES`); ``engine="batch"`` packs
     the whole grid into one lockstep :func:`repro.model.batch.run_batch`
-    call when a batched kernel covers the configuration (same
-    aggregates, bit-identical per-run results), falling back to
-    per-run execution otherwise.  ``engine="auto"`` does the same
+    call (same aggregates, bit-identical per-run results; a
+    configuration no batched kernel covers runs per replica on the
+    fast engine inside ``run_batch``).  ``engine="auto"`` does the same
     packing for multi-run grids (an ensemble is exactly the
     replicas-many workload the batch engine exists for) and otherwise
     defers to per-run adaptive selection.
@@ -170,10 +170,10 @@ def run_ensemble(
         for _label, schedule_entry in schedule_pairs
     ]
 
-    results: Optional[Iterable[Any]] = None
+    results: Iterable[Any]
     if engine == "auto" and len(grid) > 1:
         engine = "batch"
-    if engine == "batch" and grid:
+    if engine == "batch":
         from repro.model.batch import run_batch
 
         results = run_batch(
@@ -183,7 +183,7 @@ def run_ensemble(
             [schedule for _, schedule in grid],
             max_time=max_time,
         )
-    if results is None:
+    else:
         results = (
             run_execution(
                 algorithm_factory(), topology, inputs, schedule,

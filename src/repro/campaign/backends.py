@@ -197,10 +197,11 @@ class BatchBackend(CampaignBackend):
     (the remainder simply re-packs into a smaller batch).  The group's
     wall time is attributed evenly across its tasks.
 
-    Tasks the packer cannot place — a different engine, no registered
-    batched kernel for the configuration, or a group that raised —
-    fall back to per-task in-process execution with the sequential
-    backend's retry semantics.  Like :class:`SequentialBackend`, this
+    Tasks the packer cannot place — a different engine, or a group
+    that raised — fall back to per-task in-process execution with the
+    sequential backend's retry semantics.  A group no batched kernel
+    covers still runs as one call: ``run_batch`` runs its replicas on
+    the fast engine.  Like :class:`SequentialBackend`, this
     backend runs in-process: ``task_timeout`` applies only to the
     fallback path's documented (ignored) extent.
     """
@@ -231,9 +232,7 @@ class BatchBackend(CampaignBackend):
         fallback: List[TaskSpec] = []
         for task in tasks:
             # "auto" packs like "batch": a campaign grid is exactly the
-            # replicas-many workload the selection layer routes to the
-            # batch engine, and unpackable groups fall back per-task
-            # (where run_execution applies per-run adaptive selection).
+            # replicas-many workload the batch engine exists for.
             if task.engine in ("batch", "auto"):
                 key = (task.algorithm, task.topology, task.n, task.max_time)
                 groups.setdefault(key, []).append(task)
@@ -265,8 +264,6 @@ class BatchBackend(CampaignBackend):
                     max_time=max_time,
                 )
             except Exception:
-                results = None
-            if results is None:
                 fallback.extend(group)
                 continue
             share = (time.perf_counter() - started) / max(1, len(group))

@@ -463,6 +463,7 @@ def _cmd_run(args) -> int:
             "schedule": args.schedule,
             "seed": args.seed,
             "engine": args.engine,
+            "engine_used": result.engine,
             "verdict": {
                 "ok": ok,
                 "all_terminated": result.all_terminated,

@@ -40,7 +40,9 @@ requirements.
 Like the scalar kernels, batched kernels are looked up by *exact*
 algorithm type (:data:`BATCH_KERNELS`) and must decline (return
 ``None``) whenever they cannot guarantee equivalence — unsupported
-topology degree or heterogeneous ablation flags.
+topology degree or heterogeneous ablation flags.  A decline never
+reaches the caller: :func:`run_batch` then runs every replica on the
+fast engine, and counts the fallback (:func:`record_fallback`).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from repro.model.schedule import Schedule, declares
 from repro.model.schedule import _row_to_ids  # noqa: F401 - row normalizer
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry, record_execution
-from repro.obs.trace import is_recording, record_timed
+from repro.obs.trace import is_recording, record_event, record_timed
 
 __all__ = [
     "NUMPY_ENV_FLAG",
@@ -75,8 +77,8 @@ __all__ = [
     "BATCH_KERNELS",
     "register_batch_kernel",
     "build_batch_kernel",
+    "plane_kernel",
     "run_batch",
-    "run_single_batch",
 ]
 
 #: Set this environment variable to a non-empty value (other than "0")
@@ -303,21 +305,44 @@ def register_batch_kernel(algorithm_type: Type):
 
 
 def build_batch_kernel(
-    algorithms: Sequence[Any], topology: Topology, inputs_list: Sequence[Sequence[Any]]
+    algorithms: Sequence[Any], topology: Topology,
+    inputs_list: Sequence[Sequence[Any]], *, requested: str = "batch",
 ):
     """The batched runner for this replica ensemble, or ``None``.
 
-    Exact-type dispatch over the *shared* algorithm type; mixed types,
-    unregistered types and configurations the factory declines all
-    yield ``None`` (callers fall back to per-run execution).
+    See :func:`plane_kernel`; a ``None`` has been counted as a fallback
+    from ``requested``, and :func:`run_batch` then runs each replica on
+    the fast engine.
+    """
+    return plane_kernel(algorithms, topology, inputs_list, requested)
+
+
+def plane_kernel(
+    algorithms: Sequence[Any], topology: Topology,
+    inputs_list: Sequence[Sequence[Any]], requested: str,
+):
+    """The plane kernel for these replicas, or ``None`` after counting
+    the decline.
+
+    Exact-type dispatch over the *shared* algorithm type.  Each way to
+    decline is counted here, once, as a fallback from ``requested``
+    (:func:`record_fallback`): ``mixed-types`` (no shared type),
+    ``unregistered`` (no kernel for the exact type) or ``declined``
+    (the factory refused the topology or the replicas' ablation flags).
     """
     alg_type = type(algorithms[0])
-    if any(type(a) is not alg_type for a in algorithms[1:]):
-        return None
     factory = BATCH_KERNELS.get(alg_type)
-    if factory is None:
-        return None
-    return factory(algorithms, topology, inputs_list)
+    if any(type(a) is not alg_type for a in algorithms[1:]):
+        reason = "mixed-types"
+    elif factory is None:
+        reason = "unregistered"
+    else:
+        kernel = factory(algorithms, topology, inputs_list)
+        if kernel is not None:
+            return kernel
+        reason = "declined"
+    record_fallback(requested, reason)
+    return None
 
 
 #: Exclusive bound on identifiers the numpy tier packs: the register
@@ -941,16 +966,17 @@ def run_batch(
     *,
     max_time: int = DEFAULT_MAX_TIME,
     idle_limit: int = 10_000,
-) -> Optional[List[ExecutionResult]]:
+) -> List[ExecutionResult]:
     """Run ``B`` replicas of one configuration in lockstep.
 
     Replica ``i`` is ``(algorithms[i], inputs_list[i], schedules[i])``
     over the shared ``topology``; the returned list holds one
     :class:`~repro.model.execution.ExecutionResult` per replica,
-    bit-identical to what the per-run engines would produce.  Returns
-    ``None`` when no batched kernel covers this configuration (mixed
-    or unregistered algorithm types, unsupported topology) — callers
-    fall back to per-run execution.
+    bit-identical to what the per-run engines would produce.  When no
+    batched kernel covers this configuration (mixed or unregistered
+    algorithm types, unsupported topology, disagreeing ablation flags)
+    each replica runs on the fast engine instead and the decline is
+    counted; ``result.engine`` says which ran.
 
     Ragged shapes are handled per replica: each retires independently
     on termination, schedule exhaustion, ``max_time`` (its own clock)
@@ -973,47 +999,92 @@ def run_batch(
                 f"expected {n} inputs per replica, got {len(inputs)}"
             )
     kernel = build_batch_kernel(algorithms, topology, inputs_list)
-    if kernel is None:
-        return None
+    if kernel is not None:
+        return run_plane(
+            kernel, "batch", algorithms, topology, schedules,
+            max_time=max_time, idle_limit=idle_limit,
+        )
+    from repro.model.fastpath import FastExecutor
+
+    return [
+        FastExecutor(topology, algorithm, inputs).run(
+            schedule, max_time, idle_limit
+        )
+        for algorithm, inputs, schedule in zip(algorithms, inputs_list, schedules)
+    ]
+
+
+def run_plane(
+    kernel: Callable, label: str, algorithms: Sequence[Any],
+    topology: Topology, schedules: Sequence[Schedule], *,
+    max_time: int, idle_limit: int = 10_000,
+) -> List[ExecutionResult]:
+    """Run a built plane kernel and record it under ``label``.
+
+    The one run step of the plane engine, shared by :func:`run_batch`
+    and the single-run path of
+    :func:`~repro.model.execution.run_execution`; every result is
+    stamped with ``label``.  ``"wide"`` records the ``wide_*`` metrics
+    and step counts, ``"batch"`` the ``batch_*`` packing metrics and
+    the replica count.
+    """
     registry = active_registry()
-    if registry is None and not is_recording():
-        results, _stats = kernel(schedules, max_time, idle_limit)
-        return results
-    started = perf_counter()
-    wall = wall_clock()
+    observing = registry is not None or is_recording()
+    started = perf_counter() if observing else 0.0
+    wall = wall_clock() if observing else 0.0
     results, stats = kernel(schedules, max_time, idle_limit)
+    for result in results:
+        result.engine = label
+    if not observing:
+        return results
     elapsed = perf_counter() - started
-    locksteps = stats["locksteps"]
-    occupancy = stats["live_sum"] / (locksteps * B) if locksteps else 0.0
+    B = len(results)
+    if label == "wide":
+        alg_name = type(algorithms[0]).__name__
+        steps = stats["work_steps"]
+        occupancy = stats["working_sum"] / (steps * topology.n) if steps else 0.0
+        attributes = {"algorithm": alg_name, "dense_steps": steps,
+                      "sparse_steps": 0}
+        if registry is not None:
+            registry.inc(
+                "wide_steps_total", steps, algorithm=alg_name, path="dense",
+            )
+            registry.observe("wide_frontier_occupancy", occupancy)
+    else:
+        locksteps = stats["locksteps"]
+        occupancy = stats["live_sum"] / (locksteps * B) if locksteps else 0.0
+        attributes = {"replicas": B}
+        if registry is not None:
+            registry.observe("batch_replicas", B)
+            registry.observe("batch_occupancy", occupancy)
     if registry is not None:
-        registry.observe("batch_replicas", B)
-        registry.observe("batch_occupancy", occupancy)
-        registry.observe("batch_run_seconds", elapsed)
+        registry.observe(f"{label}_run_seconds", elapsed)
         for algorithm, result in zip(algorithms, results):
             record_execution(
-                registry, "batch", type(algorithm).__name__, result,
+                registry, label, type(algorithm).__name__, result,
                 elapsed=elapsed / B,
             )
     record_timed(
         "engine_run", wall, elapsed,
-        {"engine": "batch", "tier": stats["tier"], "replicas": B,
+        {"engine": label, "tier": stats["tier"], **attributes,
          "occupancy": round(occupancy, 4)},
     )
     return results
 
 
-def run_single_batch(
-    algorithm: Any,
-    topology: Topology,
-    inputs: Sequence[Any],
-    schedule: Schedule,
-    *,
-    max_time: int = DEFAULT_MAX_TIME,
-    idle_limit: int = 10_000,
-) -> Optional[ExecutionResult]:
-    """One replica through the batch engine (B = 1), or ``None``."""
-    results = run_batch(
-        [algorithm], topology, [list(inputs)], [schedule],
-        max_time=max_time, idle_limit=idle_limit,
+def record_fallback(requested: str, reason: str) -> None:
+    """Count one plane-engine decline: the run goes to ``fast``.
+
+    Increments ``engine_fallback_total{requested,used,reason}`` and
+    records an ``engine.fallback`` trace event.  ``requested`` is the
+    engine name the caller passed (``auto`` included).
+    """
+    registry = active_registry()
+    if registry is not None:
+        registry.inc(
+            "engine_fallback_total", requested=requested, used="fast",
+            reason=reason,
+        )
+    record_event(
+        "engine.fallback", requested=requested, used="fast", reason=reason
     )
-    return results[0] if results else None

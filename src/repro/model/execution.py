@@ -79,6 +79,11 @@ class ExecutionResult:
     final_states:
         Private state of every process when the run stopped (returned
         processes keep their last state), for white-box assertions.
+    engine:
+        The engine that actually ran (``"reference"``, ``"fast"``,
+        ``"wide"`` or ``"batch"``) — after ``auto`` selection and any
+        decline.  Provenance only: excluded from equality, so results
+        of different engines still compare equal.
     """
 
     n: int
@@ -89,6 +94,7 @@ class ExecutionResult:
     time_exhausted: bool
     trace: Optional[Trace]
     final_states: Dict[ProcessId, Any] = field(default_factory=dict)
+    engine: str = field(default="", compare=False)
 
     @property
     def terminated(self) -> Set[ProcessId]:
@@ -325,6 +331,7 @@ class Executor:
             time_exhausted=time_exhausted,
             trace=trace,
             final_states=states,
+            engine="reference",
         )
         if observing:
             alg_name = type(alg).__name__
@@ -401,6 +408,11 @@ def run_execution(
     the differential equivalence harness asserts bit-identical
     :class:`ExecutionResult`\\ s — so the choice is purely about speed
     vs. having the straight-from-the-paper loop in the stack trace.
+    ``"wide"`` and ``"batch"`` run the plane engine of
+    :mod:`repro.model.batch` as a batch of one; a run it cannot serve
+    (traced, register-recording or monitored, or declined by its
+    kernels) runs on ``fast`` and counts one ``engine_fallback_total``.
+    ``result.engine`` names the engine that ran.
 
     Example
     -------
@@ -413,7 +425,7 @@ def run_execution(
     >>> result.all_terminated
     True
     """
-    ensure_engine(engine)
+    requested = ensure_engine(engine)
     if engine == "auto":
         from repro.model.select import select_engine
 
@@ -426,32 +438,31 @@ def run_execution(
     if engine in ("wide", "batch"):
         # The plane engine (a batch of one, labelled "wide" or "batch")
         # covers plain runs of kernel-supported configurations: it
-        # produces no trace/register history and runs no monitors, so
-        # those requests — and configurations it declines — fall back
-        # to the fast engine, whose own gate falls further back to the
-        # generic loop as needed.
-        if not record_trace and not record_registers and not monitors:
-            if engine == "wide":
-                from repro.model.wide import run_wide as run_one
-            else:
-                from repro.model.batch import run_single_batch as run_one
+        # produces no trace/register history and runs no monitors.
+        # Anything it declines runs on the fast engine instead, and the
+        # decline is counted.
+        from repro.model import batch, wide
 
-            result = run_one(
-                algorithm, topology, inputs, schedule, max_time=max_time
+        if record_trace or record_registers or monitors:
+            batch.record_fallback(requested, "observed")
+            kernel = None
+        else:
+            kernel = wide.build_wide_kernel(
+                algorithm, topology, inputs, requested=requested
             )
-            if result is not None:
-                if raise_on_exhaustion and result.time_exhausted:
-                    raise time_exhausted_error(result)
-                return result
+        if kernel is not None:
+            (result,) = batch.run_plane(
+                kernel, engine, [algorithm], topology, [schedule],
+                max_time=max_time,
+            )
+            if raise_on_exhaustion and result.time_exhausted:
+                raise time_exhausted_error(result)
+            return result
         engine = "fast"
     if engine == "fast":
         from repro.model.fastpath import FastExecutor as executor_cls
-    elif engine == "reference":
-        executor_cls = Executor
     else:
-        raise ExecutionError(
-            f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
-        )
+        executor_cls = Executor
     executor = executor_cls(
         topology,
         algorithm,

@@ -131,6 +131,7 @@ class FastExecutor:
             started = perf_counter() if observing else 0.0
             wall = wall_clock() if observing else 0.0
             result = self._kernel(schedule, max_time, idle_limit)
+            result.engine = "fast"
             if observing:
                 elapsed = perf_counter() - started
                 alg_name = type(self.algorithm).__name__
@@ -299,6 +300,7 @@ class FastExecutor:
             time_exhausted=time_exhausted,
             trace=trace,
             final_states={p: states[p] for p in range(n)},
+            engine="fast",
         )
         if observing:
             elapsed = perf_counter() - started

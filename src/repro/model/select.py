@@ -15,27 +15,27 @@ The rules, in order:
    request).  The kernel engines do not produce those artifacts, so
    selecting them would change the contract; this rule is what makes
    ``auto`` contract-safe by construction.
-2. Replica ensembles (``replicas > 1``) go to ``batch`` — lockstep
-   across replicas amortizes the interpreter loop over the ensemble.
-3. Single runs go to ``wide`` when the vectorized step can pay for
-   itself: numpy importable, a plane kernel registered for the exact
-   algorithm type, a schedule that declares its expected
-   activation-set size (``expected_step_size(n)``, defined next to its
-   ``steps`` — the synchronous, Bernoulli and uniform-subset families;
-   a wrapper, custom adversary or subclass that overrides ``steps`` is
-   opaque, see :func:`~repro.model.schedule.declares`), ``n`` at least
+2. Runs go to ``wide`` when the vectorized step can pay for itself:
+   numpy importable, a plane kernel registered for the exact algorithm
+   type, a schedule that declares its expected activation-set size
+   (``expected_step_size(n)``, defined next to its ``steps`` — the
+   synchronous, Bernoulli and uniform-subset families; a wrapper,
+   custom adversary or subclass that overrides ``steps`` is opaque,
+   see :func:`~repro.model.schedule.declares`), ``n`` at least
    :data:`WIDE_MIN_N` and the expected set size at least
    :data:`WIDE_MIN_STEP_OCCUPANCY`.
-4. Everything else — small ``n``, sparse or opaque schedules, unknown
+3. Everything else — small ``n``, sparse or opaque schedules, unknown
    algorithm types — stays on ``fast``.
 
-Selection is *optimistic*: the chosen engine's own decline/fallback
-gates still apply downstream (the plane engine returning ``None``
-falls back to ``fast`` inside ``run_execution``), so a rule here never
-has to be perfectly tight to be safe.  The
-decision and its deciding rule are recorded in the shared metrics
-registry (``engine_auto_selected_total{engine=…,reason=…}``) so a
-campaign's engine mix is auditable after the fact.
+Selection is *optimistic*: if the plane kernel declines the run after
+all, ``run_execution`` runs it on ``fast`` and counts the decline
+(``engine_fallback_total``), so a rule here never has to be perfectly
+tight to be safe.  Packing several runs into one ``batch`` call is
+not a selection rule: ensembles, the campaign batch backend and the
+service coalescer each decide that themselves.  The decision and its
+deciding rule are recorded in the shared metrics registry
+(``engine_auto_selected_total{engine=…,reason=…}``) so a campaign's
+engine mix is auditable after the fact.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ def _decide(
     topology: Topology,
     schedule: Schedule,
     *,
-    replicas: int,
     record_trace: bool,
     record_registers: bool,
     monitors: Optional[Sequence[Any]],
@@ -78,8 +77,6 @@ def _decide(
         return "fast", "recording"
     if monitors:
         return "fast", "monitors"
-    if replicas > 1:
-        return "batch", "replicas"
     from repro.model.batch import BATCH_KERNELS, load_numpy
 
     if load_numpy() is None:
@@ -102,7 +99,6 @@ def select_engine(
     topology: Topology,
     schedule: Schedule,
     *,
-    replicas: int = 1,
     record_trace: bool = False,
     record_registers: bool = False,
     monitors: Optional[Sequence[Any]] = None,
@@ -114,11 +110,10 @@ def select_engine(
     register-recording, or monitored runs always land on ``fast``,
     which itself degrades to the generic loop as needed).  The chosen
     engine may still decline the configuration downstream and fall
-    back — selection is a fast pre-filter, not a guarantee.
+    back to ``fast`` — selection is a fast pre-filter, not a guarantee.
     """
     engine, reason = _decide(
         algorithm, topology, schedule,
-        replicas=replicas,
         record_trace=record_trace,
         record_registers=record_registers,
         monitors=monitors,

@@ -68,10 +68,12 @@ NONDETERMINISTIC_METRICS = frozenset(
         # Wide-engine step-shape metrics describe how the run was
         # executed (vectorized steps, frontier occupancy), which is an
         # engine property, not a modeled-system one; the adaptive-
-        # selection counter additionally depends on numpy availability.
+        # selection and plane-decline counters additionally depend on
+        # which engine was requested and on numpy availability.
         "wide_steps_total",
         "wide_frontier_occupancy",
         "engine_auto_selected_total",
+        "engine_fallback_total",
         # Worker-pool supervision metrics are pure operational state:
         # live occupancy, scheduling races and fault-recovery counts
         # vary run to run on identical workloads.

@@ -16,12 +16,14 @@ The service's execution pipeline, between the cache and the engines:
    ``(algorithm, topology, n, max_time)``; seeds, input families and
    schedules are free to differ — and runs each group as *one*
    lockstep :func:`repro.model.batch.run_batch` call.  Singleton
-   groups route through adaptive engine selection
+   groups run through ``run_execution(engine="auto")``
    (:mod:`repro.model.select`): a solo large-``n`` cold miss runs on
-   the node-vectorized wide engine, everything else (and whatever the
-   kernels decline) on the fast path.  Either way the per-request
-   results are bit-identical to what a solo run would produce — the
-   equivalence tests pin this against the reference engine.
+   the node-vectorized wide engine, everything else on the fast path.
+   Whatever the plane kernels decline runs on the fast path inside
+   the engines themselves.  Each response's ``engine`` is the engine
+   that actually ran.  Either way the per-request results are
+   bit-identical to what a solo run would produce — the equivalence
+   tests pin this against the reference engine.
 
 The coalescing window is *adaptive*: the batcher only holds a batch
 open while other admitted requests are actually pending.  The moment
@@ -75,9 +77,11 @@ def execute_requests(
 
     Pure and thread-safe (runs on executor threads): resolves fresh
     algorithm/schedule objects per request, so no state leaks between
-    runs.  ``len(requests) > 1`` attempts one lockstep batch first;
-    the per-run fast path is the fallback whenever the batched kernels
-    decline the configuration.
+    runs.  ``len(requests) > 1`` runs as one lockstep
+    :func:`~repro.model.batch.run_batch` call; a lone request runs
+    through ``run_execution(engine="auto")``.  The engine label is the
+    one that actually ran (``result.engine``): ``batch``, ``wide``, or
+    ``fast`` where selection picked it or the plane engine declined.
     """
     from repro.campaign.registry import (
         resolve_algorithm,
@@ -105,48 +109,18 @@ def execute_requests(
             schedules,
             max_time=first.max_time,
         )
-        if results is not None:
-            return results, "batch"
-        # The kernels declined (unsupported configuration): fresh
-        # schedules for the fallback — the batch attempt may have
-        # consumed stream state.
-        schedules = [
-            resolve_schedule(r.schedule, seed=r.seed, **dict(r.schedule_params))
-            for r in requests
-        ]
     else:
-        # Solo cold miss: adaptive selection — a single large-n request
-        # under a dense schedule is exactly the wide engine's workload.
-        # run_wide declines (None) before consuming the schedule stream,
-        # so the fast fallback below can reuse the same instance.
-        from repro.model.select import select_engine
-        from repro.model.wide import run_wide
-
-        choice = select_engine(
-            resolve_algorithm(first.algorithm)(), topology, schedules[0]
-        )
-        if choice == "wide":
-            result = run_wide(
+        results = [
+            run_execution(
                 resolve_algorithm(first.algorithm)(),
                 topology,
                 inputs_list[0],
                 schedules[0],
                 max_time=first.max_time,
+                engine="auto",
             )
-            if result is not None:
-                return [result], "wide"
-    results = [
-        run_execution(
-            resolve_algorithm(r.algorithm)(),
-            topology,
-            inputs,
-            schedule,
-            max_time=r.max_time,
-            engine="fast",
-        )
-        for r, inputs, schedule in zip(requests, inputs_list, schedules)
-    ]
-    return results, "fast"
+        ]
+    return results, results[0].engine
 
 
 def _execute_traced(

@@ -29,7 +29,6 @@ from repro.model.batch import (
     load_numpy,
     numpy_accelerated,
     run_batch,
-    run_single_batch,
 )
 from repro.model.execution import run_execution
 from repro.model.faults import CrashPlan
@@ -67,9 +66,16 @@ def reference_results(factory, topology, inputs_list, schedule_factories,
     ]
 
 
-def assert_replicas_identical(batch, oracle, label):
-    """Field-by-field equality, replica by replica, with a usable diff."""
-    assert batch is not None, f"{label}: run_batch unexpectedly declined"
+def assert_replicas_identical(batch, oracle, label, engine="batch"):
+    """Field-by-field equality, replica by replica, with a usable diff.
+
+    ``engine`` is the engine every replica must have run on: equality
+    ignores ``result.engine``, so without this check a silent fallback
+    to the fast engine would pass as a batch run.
+    """
+    assert all(r.engine == engine for r in batch), (
+        f"{label}: ran on {[r.engine for r in batch]}, expected {engine!r}"
+    )
     assert len(batch) == len(oracle)
     for i, (got, want) in enumerate(zip(batch, oracle)):
         assert dict(got.outputs) == dict(want.outputs), f"{label} replica {i}: outputs"
@@ -204,13 +210,37 @@ def test_batch_ragged_termination_and_exhaustion():
         assert any(not r.time_exhausted for r in oracle)
 
 
+def assert_declined_batch_matches_reference(algs, reason):
+    """A declined batch still answers, per replica, on the fast engine,
+    and counts exactly one fallback."""
+    from repro.obs.metrics import collecting
+
+    inputs_list = [random_distinct_ids(7, seed=s) for s in range(len(algs))]
+    with collecting() as registry:
+        results = run_batch(
+            algs, Cycle(7), inputs_list,
+            [SynchronousScheduler() for _ in algs], max_time=20_000,
+        )
+    oracle = [
+        run_execution(
+            type(alg)(), Cycle(7), ids, SynchronousScheduler(),
+            max_time=20_000, engine="reference",
+        )
+        for alg, ids in zip(algs, inputs_list)
+    ]
+    assert_replicas_identical(results, oracle, reason, engine="fast")
+    (sample,) = registry.snapshot()["engine_fallback_total"]["samples"]
+    assert sample["labels"] == {
+        "requested": "batch", "used": "fast", "reason": reason,
+    }
+    assert sample["value"] == 1
+
+
 def test_batch_declines_mixed_algorithm_types():
-    """Heterogeneous algorithm types have no common kernel: return None."""
+    """Heterogeneous algorithm types have no common kernel."""
     names = sorted(ALGORITHMS)
     algs = [ALGORITHMS[names[0]](), ALGORITHMS[names[1]]()]
-    inputs_list = [random_distinct_ids(7, seed=s) for s in range(2)]
-    scheds = [SynchronousScheduler(), SynchronousScheduler()]
-    assert run_batch(algs, Cycle(7), inputs_list, scheds) is None
+    assert_declined_batch_matches_reference(algs, "mixed-types")
 
 
 def test_batch_declines_unregistered_algorithm():
@@ -220,26 +250,25 @@ def test_batch_declines_unregistered_algorithm():
     class Subclassed(FastFiveColoring):
         pass
 
-    assert run_batch(
-        [Subclassed(), Subclassed()], Cycle(7),
-        [random_distinct_ids(7, seed=s) for s in range(2)],
-        [SynchronousScheduler(), SynchronousScheduler()],
-    ) is None
+    assert_declined_batch_matches_reference(
+        [Subclassed(), Subclassed()], "unregistered"
+    )
 
 
-def test_run_single_batch_matches_run_execution():
-    """The B=1 wrapper behind ``run_execution(engine="batch")``."""
+def test_engine_batch_single_run_matches_reference():
+    """``run_execution(engine="batch")``: the plane engine at B = 1."""
     for alg_name, factory in sorted(ALGORITHMS.items()):
         ids = random_distinct_ids(10, seed=5)
-        got = run_single_batch(
+        got = run_execution(
             factory(), Cycle(10), ids, BernoulliScheduler(p=0.4, seed=5),
-            max_time=20_000,
+            max_time=20_000, engine="batch",
         )
         want = run_execution(
             factory(), Cycle(10), ids, BernoulliScheduler(p=0.4, seed=5),
             max_time=20_000, engine="reference",
         )
-        assert got == want, f"{alg_name}: single-batch diverged"
+        assert got.engine == "batch", f"{alg_name}: engine='batch' declined"
+        assert got == want, f"{alg_name}: engine='batch' diverged"
 
 
 def test_engine_batch_falls_back_for_unpackable_runs():
@@ -258,6 +287,7 @@ def test_engine_batch_falls_back_for_unpackable_runs():
         Subclassed(), Cycle(8), ids, SynchronousScheduler(),
         max_time=20_000, engine="reference",
     )
+    assert got.engine == "fast"
     assert got == want
 
 

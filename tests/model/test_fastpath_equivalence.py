@@ -475,7 +475,6 @@ def test_auto_never_selects_a_contract_changing_engine():
         dict(record_trace=True),
         dict(record_registers=True),
         dict(monitors=[ActivationBudgetMonitor(10)]),
-        dict(replicas=16),
     ]
     for n in (8, 5000):
         for sched in (SynchronousScheduler(), BernoulliScheduler(p=0.5)):

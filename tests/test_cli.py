@@ -114,6 +114,17 @@ class TestRunJson:
         json.loads(out)  # the whole stdout is one JSON document
         assert "algorithm :" not in out
 
+    def test_json_reports_engine_used(self, capsys):
+        """A traced run cannot take the plane engine: the requested
+        engine stays ``wide``, the engine that ran is ``fast``."""
+        assert main(["run", "--n", "8", "--engine", "wide", "--timeline",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "wide"
+        assert payload["engine_used"] == "fast"
+        assert main(["run", "--n", "8", "--engine", "wide", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["engine_used"] == "wide"
+
 
 class TestCampaignCommand:
     ARGS = ["campaign", "--algorithms", "fast5", "--ns", "10",
