@@ -37,12 +37,14 @@ through the scalar kernel of :mod:`repro.model.kernels` instead,
 bit-identical by construction, so the core library still has no hard
 requirements.
 
-Like the scalar kernels, batched kernels are looked up by *exact*
-algorithm type (:data:`BATCH_KERNELS`) and must decline (return
-``None``) whenever they cannot guarantee equivalence — unsupported
-topology degree or heterogeneous ablation flags.  A decline never
-reaches the caller: :func:`run_batch` then runs every replica on the
-fast engine, and counts the fallback (:func:`record_fallback`).
+Both tiers read one kernel family table: an exact algorithm type's
+entry in :data:`repro.model.kernels.KERNELS` picks the register
+family, and :data:`~repro.model.kernels.ABLATION_FLAGS` the flags
+bound into the kernel.  A plane kernel must decline (return ``None``)
+whenever it cannot guarantee equivalence — unsupported topology degree
+or heterogeneous ablation flags.  A decline never reaches the caller:
+:func:`run_batch` then runs every replica on the fast engine, and
+counts the fallback (:func:`record_fallback`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Mapping as _MappingABC
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from time import perf_counter
 from time import time as wall_clock
@@ -61,9 +63,13 @@ from repro.model.execution import (
     DEFAULT_MAX_TIME,
     ExecutionResult,
 )
-from repro.model.kernels import _degree2_arrays
+from repro.model.kernels import (
+    ABLATION_FLAGS,
+    KERNELS,
+    _degree2_arrays,
+    _family_state,
+)
 from repro.model.schedule import Schedule, declares
-from repro.model.schedule import _row_to_ids  # noqa: F401 - row normalizer
 from repro.model.topology import Topology
 from repro.obs.metrics import active_registry, record_execution
 from repro.obs.trace import is_recording, record_event, record_timed
@@ -74,8 +80,6 @@ __all__ = [
     "numpy_accelerated",
     "MTBatch",
     "batched_steps",
-    "BATCH_KERNELS",
-    "register_batch_kernel",
     "build_batch_kernel",
     "plane_kernel",
     "run_batch",
@@ -280,29 +284,8 @@ def batched_steps(schedules: Sequence[Schedule], n: int, flags: List[bool]):
 
 
 # ----------------------------------------------------------------------
-# Batched kernel registry
+# Kernel dispatch
 # ----------------------------------------------------------------------
-
-#: Exact algorithm type → batched kernel factory with signature
-#: ``factory(algorithms, topology, inputs_list) -> Optional[runner]``
-#: where ``runner(schedules, max_time, idle_limit)`` returns
-#: ``(results, stats)`` — one ``ExecutionResult`` per replica plus the
-#: run statistics: ``tier`` (``"vector"`` or ``"scalar"``), lockstep
-#: and live-replica counts (``locksteps``, ``live_sum``) and
-#: non-idle steps with their working-set total (``work_steps``,
-#: ``working_sum``).
-BATCH_KERNELS: Dict[Type, Callable] = {}
-
-
-def register_batch_kernel(algorithm_type: Type):
-    """Class decorator registering ``factory`` for ``algorithm_type``."""
-
-    def decorate(factory: Callable) -> Callable:
-        BATCH_KERNELS[algorithm_type] = factory
-        return factory
-
-    return decorate
-
 
 def build_batch_kernel(
     algorithms: Sequence[Any], topology: Topology,
@@ -310,9 +293,14 @@ def build_batch_kernel(
 ):
     """The batched runner for this replica ensemble, or ``None``.
 
-    See :func:`plane_kernel`; a ``None`` has been counted as a fallback
-    from ``requested``, and :func:`run_batch` then runs each replica on
-    the fast engine.
+    The runner has signature ``runner(schedules, max_time, idle_limit)
+    -> (results, stats)``: one ``ExecutionResult`` per replica plus the
+    run statistics — ``tier`` (``"vector"`` or ``"scalar"``), lockstep
+    and live-replica counts (``locksteps``, ``live_sum``) and non-idle
+    steps with their working-set total (``work_steps``,
+    ``working_sum``).  See :func:`plane_kernel`; a ``None`` has been
+    counted as a fallback from ``requested``, and :func:`run_batch`
+    then runs each replica on the fast engine.
     """
     return plane_kernel(algorithms, topology, inputs_list, requested)
 
@@ -324,20 +312,25 @@ def plane_kernel(
     """The plane kernel for these replicas, or ``None`` after counting
     the decline.
 
-    Exact-type dispatch over the *shared* algorithm type.  Each way to
+    Exact-type dispatch over the *shared* algorithm type, through the
+    family table :data:`~repro.model.kernels.KERNELS`.  Each way to
     decline is counted here, once, as a fallback from ``requested``
     (:func:`record_fallback`): ``mixed-types`` (no shared type),
     ``unregistered`` (no kernel for the exact type) or ``declined``
-    (the factory refused the topology or the replicas' ablation flags).
+    (:func:`_make_plane_kernel` refused the topology or the replicas'
+    ablation flags).
     """
     alg_type = type(algorithms[0])
-    factory = BATCH_KERNELS.get(alg_type)
+    family = KERNELS.get(alg_type)
     if any(type(a) is not alg_type for a in algorithms[1:]):
         reason = "mixed-types"
-    elif factory is None:
+    elif family is None:
         reason = "unregistered"
     else:
-        kernel = factory(algorithms, topology, inputs_list)
+        pair, reduction = family
+        kernel = _make_plane_kernel(
+            algorithms, topology, inputs_list, pair=pair, reduction=reduction
+        )
         if kernel is not None:
             return kernel
         reason = "declined"
@@ -680,25 +673,21 @@ def _reduce_ids(np, sr, rr, csel, xc, x1, x2, rc, q1c, q2c, *,
 def _make_plane_kernel(algorithms, topology, inputs_list, *, pair, reduction):
     """The lockstep runner for Algorithms 1–3 and fast-six replicas.
 
-    ``pair`` selects the (x, (a, b) pair) family of Algorithm 1 /
-    fast-six over the (x, a, b) family of Algorithms 2 / 3;
-    ``reduction`` adds the identifier-reduction block (Algorithm 3,
-    fast-six).  Declines (``None``) on degree > 2 topologies and on
-    replicas that disagree on ablation flags.  Identifiers that do not
-    fit exact int64 lanes, and runs without numpy, take the scalar
-    tier.
+    ``pair`` and ``reduction`` name the register family, as in
+    :data:`~repro.model.kernels.KERNELS`.  Declines (``None``) on
+    degree > 2 topologies and on replicas that disagree on an ablation
+    flag.  Identifiers that do not fit exact int64 lanes, and runs
+    without numpy, take the scalar tier.
     """
     arrays = _degree2_arrays(topology)
     if arrays is None:
         return None
-    flags = {"green_light": True, "guarded_adoption": True}
-    if reduction:
-        names = ("green_light",) if pair else tuple(flags)
-        for name in names:
-            values = {getattr(alg, name) for alg in algorithms}
-            if len(values) > 1:
-                return None
-            flags[name] = values.pop()
+    flags = {}
+    for name in ABLATION_FLAGS:
+        values = {getattr(alg, name, True) for alg in algorithms}
+        if len(values) > 1:
+            return None
+        flags[name] = values.pop()
     np = load_numpy()
     init_x = _ids_as_int64(np, inputs_list) if np is not None else None
     if init_x is None:
@@ -719,17 +708,14 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
     # arithmetic shifts to x = −1, a = b = 7, values no real state can
     # take: awakeness reduces to ``x >= 0``, a sentinel color never
     # clashes with a real one, and the zero-/one-/two-awake-neighbor
-    # arms of the scalar kernels collapse into one vector expression.
+    # cases collapse into one vector expression, as they do in the
+    # scalar kernel.
     # Publishing a register image is one gather plus one scatter, and
     # reading a neighbor is one gather through the precomputed flat
     # neighbor tables.
-    if pair:
-        from repro.core.coloring6 import SixState as State
-        from repro.extensions.fast_six import FastSixState as ReducedState
-    else:
-        from repro.core.coloring5 import FiveState as State
-        from repro.core.fast_coloring5 import FastState as ReducedState
     from repro.core.fast_coloring5 import INFINITE_ROUND
+
+    state_type = _family_state(pair, reduction)
 
     B = len(init_x)
     N1 = n + 1
@@ -863,13 +849,11 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
                 row = SP[bi, :n]
                 fields = [(row >> 6).tolist(), ((row >> 3) & 7).tolist(),
                           (row & 7).tolist()]
-                state_type = State
                 if reduction:
                     fields.insert(1, [
                         r if r < _INF64 else INFINITE_ROUND
                         for r in SR[bi, :n].tolist()
                     ])
-                    state_type = ReducedState
                 return dict(zip(ids, map(
                     tuple.__new__, repeat(state_type), zip(*fields)
                 )))
@@ -894,7 +878,7 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
 # ----------------------------------------------------------------------
 
 def _scalar_runner(algorithms, topology, inputs_list):
-    """Per-replica delegation to the scalar kernels.
+    """Per-replica delegation to the scalar kernel.
 
     Without numpy, or with identifiers outside exact int64 lanes, a
     plane step over plain Python values degenerates to the very loop
@@ -928,30 +912,6 @@ def _scalar_runner(algorithms, topology, inputs_list):
         return results, stats
 
     return run
-
-
-# ----------------------------------------------------------------------
-# Registrations
-# ----------------------------------------------------------------------
-
-def _register_builtin_batch_kernels() -> None:
-    from repro.core.coloring5 import FiveColoring
-    from repro.core.coloring6 import SixColoring
-    from repro.core.fast_coloring5 import FastFiveColoring
-    from repro.extensions.fast_six import FastSixColoring
-
-    for algorithm_type, pair, reduction in (
-        (FiveColoring, False, False),
-        (FastFiveColoring, False, True),
-        (SixColoring, True, False),
-        (FastSixColoring, True, True),
-    ):
-        register_batch_kernel(algorithm_type)(partial(
-            _make_plane_kernel, pair=pair, reduction=reduction
-        ))
-
-
-_register_builtin_batch_kernels()
 
 
 # ----------------------------------------------------------------------

@@ -106,7 +106,7 @@ class Schedule:
         raise NotImplementedError
 
     def steps_fast(self, n: int) -> Iterator[FastStep]:
-        """The id stream the scalar kernels iterate: the ids of
+        """The id stream the scalar kernel iterates: the ids of
         :meth:`steps_wide`'s rows when ``steps`` comes with a declared
         ``steps_batch`` and ``n ≥`` :data:`VECTOR_STREAM_MIN_N`, else
         :meth:`steps` — the same steps, order and RNG consumption."""

@@ -16,8 +16,9 @@ The rules, in order:
    selecting them would change the contract; this rule is what makes
    ``auto`` contract-safe by construction.
 2. Runs go to ``wide`` when the vectorized step can pay for itself:
-   numpy importable, a plane kernel registered for the exact algorithm
-   type, a schedule that declares its expected activation-set size
+   numpy importable, the exact algorithm type in the kernel family
+   table (:data:`repro.model.kernels.KERNELS`), a schedule that
+   declares its expected activation-set size
    (``expected_step_size(n)``, defined next to its ``steps`` — the
    synchronous, Bernoulli and uniform-subset families; a wrapper,
    custom adversary or subclass that overrides ``steps`` is opaque,
@@ -77,11 +78,12 @@ def _decide(
         return "fast", "recording"
     if monitors:
         return "fast", "monitors"
-    from repro.model.batch import BATCH_KERNELS, load_numpy
+    from repro.model.batch import load_numpy
+    from repro.model.kernels import KERNELS
 
     if load_numpy() is None:
         return "fast", "no-numpy"
-    if type(algorithm) not in BATCH_KERNELS:
+    if type(algorithm) not in KERNELS:
         return "fast", "no-wide-kernel"
     n = topology.n
     if not declares(type(schedule), "expected_step_size"):

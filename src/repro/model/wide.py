@@ -32,12 +32,13 @@ def build_wide_kernel(
 ):
     """The one-replica plane kernel for this run, or ``None``.
 
-    The kernel has the :data:`~repro.model.batch.BATCH_KERNELS` runner
-    signature with ``B = 1``.  Exact-type dispatch: a subclass may
-    override ``step`` and silently change semantics, so it never
-    matches.  ``None`` also when the factory declines the topology;
-    either way :func:`~repro.model.batch.plane_kernel` has counted the
-    fallback from ``requested``.
+    The kernel has the :func:`~repro.model.batch.build_batch_kernel`
+    runner signature with ``B = 1``.  Exact-type dispatch through
+    :data:`~repro.model.kernels.KERNELS`: a subclass may override
+    ``step`` and silently change semantics, so it never matches.
+    ``None`` also when the kernel declines the topology; either way
+    :func:`~repro.model.batch.plane_kernel` has counted the fallback
+    from ``requested``.
     """
     inputs = list(inputs)
     if len(inputs) != topology.n:

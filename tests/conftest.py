@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.inputs import monotone_ids, random_distinct_ids, zigzag_ids
+from repro.campaign.registry import ALGORITHMS
+from repro.core.fast_coloring5 import FastFiveColoring
+from repro.extensions.fast_six import FastSixColoring
 from repro.model.topology import Cycle
 from repro.schedulers import (
     AlternatingScheduler,
@@ -34,6 +39,18 @@ INPUT_FAMILIES = {
     "random": lambda n: random_distinct_ids(n, seed=42),
     "monotone": monotone_ids,
     "zigzag": zigzag_ids,
+}
+
+#: The algorithm axis of the engine equivalence matrices: every
+#: registered algorithm plus the ablation variants of the reduction
+#: algorithms, which pin how each kernel tier binds the ablation flags.
+#: The variants stay out of the campaign registry (the unguarded one
+#: can color improperly), so tests assert only reference equality.
+ENGINE_ALGORITHMS = {
+    **ALGORITHMS,
+    "fast5-no-green-light": partial(FastFiveColoring, green_light=False),
+    "fast5-unguarded": partial(FastFiveColoring, guarded_adoption=False),
+    "fast6-no-green-light": partial(FastSixColoring, green_light=False),
 }
 
 

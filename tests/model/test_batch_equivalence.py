@@ -24,7 +24,6 @@ from repro.model.batch import (
     MTBatch,
     NUMPY_ENV_FLAG,
     _LazyMapping,
-    _row_to_ids,
     batched_steps,
     load_numpy,
     numpy_accelerated,
@@ -32,7 +31,7 @@ from repro.model.batch import (
 )
 from repro.model.execution import run_execution
 from repro.model.faults import CrashPlan
-from repro.model.schedule import FiniteSchedule
+from repro.model.schedule import FiniteSchedule, _row_to_ids
 from repro.model.topology import Cycle, Path
 from repro.schedulers import (
     BernoulliScheduler,
@@ -41,6 +40,8 @@ from repro.schedulers import (
     SynchronousScheduler,
     UniformSubsetScheduler,
 )
+
+from tests.conftest import ENGINE_ALGORITHMS
 
 #: Scheduler families swept against every algorithm.  Factories take
 #: ``seed`` so random families get a fresh stream per replica while
@@ -97,7 +98,7 @@ def assert_replicas_identical(batch, oracle, label, engine="batch"):
         assert got == want, f"{label} replica {i}: ExecutionResult diverged"
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 @pytest.mark.parametrize("sched_name,sched_factory", SCHEDULER_FAMILIES)
 def test_batch_bit_identical_per_replica(alg_name, sched_name, sched_factory):
     """The headline sweep (Issue 4 acceptance criterion).
@@ -106,7 +107,7 @@ def test_batch_bit_identical_per_replica(alg_name, sched_name, sched_factory):
     batch with varying sizes-agnostic seeds must match twelve
     independent reference runs field for field.
     """
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 19
     batch_size = 12
     inputs_list = [random_distinct_ids(n, seed=seed) for seed in range(batch_size)]
@@ -124,10 +125,10 @@ def test_batch_bit_identical_per_replica(alg_name, sched_name, sched_factory):
     assert any(r.final_time > 0 for r in oracle)
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_batch_path_topology(alg_name):
     """Degree-1 endpoints (Path) through the batched kernels."""
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 14
     inputs_list = [random_distinct_ids(n, seed=s) for s in range(6)]
     factories = [(lambda s=s: BernoulliScheduler(p=0.5, seed=s)) for s in range(6)]
@@ -139,10 +140,10 @@ def test_batch_path_topology(alg_name):
     assert_replicas_identical(batch, oracle, f"{alg_name}/path")
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_batch_mixed_schedule_types_one_batch(alg_name):
     """One batch may mix schedule classes; streams must not cross-talk."""
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 11
     factories = [
         lambda: SynchronousScheduler(),
@@ -160,10 +161,10 @@ def test_batch_mixed_schedule_types_one_batch(alg_name):
     assert_replicas_identical(batch, oracle, f"{alg_name}/mixed")
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_batch_crash_plans(alg_name):
     """Crashed processes stop mid-batch without disturbing neighbors."""
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 13
     factories = [
         (lambda i=i: CrashPlan(
@@ -257,7 +258,7 @@ def test_batch_declines_unregistered_algorithm():
 
 def test_engine_batch_single_run_matches_reference():
     """``run_execution(engine="batch")``: the plane engine at B = 1."""
-    for alg_name, factory in sorted(ALGORITHMS.items()):
+    for alg_name, factory in sorted(ENGINE_ALGORITHMS.items()):
         ids = random_distinct_ids(10, seed=5)
         got = run_execution(
             factory(), Cycle(10), ids, BernoulliScheduler(p=0.4, seed=5),
@@ -291,12 +292,12 @@ def test_engine_batch_falls_back_for_unpackable_runs():
     assert got == want
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_pure_python_tier_bit_identical(alg_name, monkeypatch):
     """With numpy disabled the pure tier must produce the same results."""
     monkeypatch.setenv(NUMPY_ENV_FLAG, "1")
     assert not numpy_accelerated()
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 11
     factories = [
         lambda: SynchronousScheduler(),

@@ -30,7 +30,6 @@ import random
 
 import pytest
 
-from repro.campaign.registry import ALGORITHMS
 from repro.analysis.inputs import random_distinct_ids
 from repro.core.fast_coloring5 import FastFiveColoring
 from repro.errors import ExecutionError
@@ -54,6 +53,9 @@ from repro.schedulers import (
     SynchronousScheduler,
     UniformSubsetScheduler,
 )
+
+from tests.conftest import ENGINE_ALGORITHMS
+
 
 class EveryOtherBernoulli(BernoulliScheduler):
     """A subclass whose ``steps`` keeps every other parent step.
@@ -122,7 +124,7 @@ def both_engines(algorithm_factory, topology, inputs, schedule_factory,
 
 
 @pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 @pytest.mark.parametrize("sched_name,sched_factory", SCHEDULER_FAMILIES)
 def test_engines_bit_identical_over_25_seeds(
     alg_name, sched_name, sched_factory, tier, monkeypatch
@@ -136,7 +138,7 @@ def test_engines_bit_identical_over_25_seeds(
     final_states.
     """
     set_tier(monkeypatch, tier)
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     for seed in range(25):
         n = 5 + (seed % 7)
         ids = random_distinct_ids(n, seed=seed)
@@ -160,7 +162,7 @@ def test_engines_bit_identical_over_25_seeds(
 
 
 @pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 @pytest.mark.parametrize("sched_name,sched_factory", SCHEDULER_FAMILIES)
 def test_crash_plan_equivalence(
     alg_name, sched_name, sched_factory, tier, monkeypatch
@@ -173,7 +175,7 @@ def test_crash_plan_equivalence(
     as the adapter's equivalence proof.
     """
     set_tier(monkeypatch, tier)
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     for seed in range(6):
         n = 6 + (seed % 5)
         ids = random_distinct_ids(n, seed=seed)
@@ -198,7 +200,7 @@ def test_crash_plan_equivalence(
             )
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_trace_and_register_recording_equivalence(alg_name):
     """Recorded traces are bit-identical too (generic fast path).
 
@@ -206,7 +208,7 @@ def test_trace_and_register_recording_equivalence(alg_name):
     snapshot, so this compares the engines' visible memory word for
     word at every time index.
     """
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     for seed in range(5):
         n = 7
         ids = random_distinct_ids(n, seed=seed)
@@ -231,10 +233,10 @@ def test_trace_and_register_recording_equivalence(alg_name):
             assert reference == batch
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_adversarial_gallery_equivalence(alg_name):
     """Structured adversaries and composite schedules, both engines."""
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     n = 9
     ids = random_distinct_ids(n, seed=3)
     adversaries = [
@@ -258,7 +260,7 @@ def test_adversarial_gallery_equivalence(alg_name):
         assert reference == batch
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 @pytest.mark.parametrize("sched_name,sched_factory", SCHEDULER_FAMILIES)
 def test_engines_emit_identical_metrics(alg_name, sched_name, sched_factory):
     """The metrics diff: beyond bit-identical results, the engines must
@@ -266,7 +268,7 @@ def test_engines_emit_identical_metrics(alg_name, sched_name, sched_factory):
     the ``engine`` label and machine-dependent series excluded)."""
     from repro.obs.metrics import collecting
 
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     snapshots = {}
     for engine in ("reference",) + KERNEL_ENGINES:
         with collecting() as registry:
@@ -317,10 +319,10 @@ def test_kernel_vs_generic_dispatch():
     assert traced._kernel is None
 
 
-@pytest.mark.parametrize("alg_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("alg_name", sorted(ENGINE_ALGORITHMS))
 def test_path_topology_equivalence(alg_name):
     """Degree-1 endpoints (Path) hit the kernels' one-neighbor arms."""
-    factory = ALGORITHMS[alg_name]
+    factory = ENGINE_ALGORITHMS[alg_name]
     for seed in range(5):
         n = 6
         ids = random_distinct_ids(n, seed=seed)
@@ -335,7 +337,7 @@ def test_path_topology_equivalence(alg_name):
 
 def test_max_time_exhaustion_equivalence():
     """Both engines cut off at the same time with the same flag."""
-    for alg_name, factory in sorted(ALGORITHMS.items()):
+    for alg_name, factory in sorted(ENGINE_ALGORITHMS.items()):
         reference, fast, wide, batch = both_engines(
             factory, Cycle(9), random_distinct_ids(9, seed=0),
             lambda: BernoulliScheduler(p=0.2, seed=0),
@@ -466,7 +468,7 @@ def test_auto_never_selects_a_contract_changing_engine():
     the given request: recording and monitored runs land on engines
     that actually produce traces/registers and run monitors."""
     from repro.model.select import select_engine
-    from repro.model.batch import BATCH_KERNELS as WIDE_KERNELS
+    from repro.model.kernels import KERNELS
     from repro.obs.monitors import ActivationBudgetMonitor
 
     alg = FastFiveColoring()
@@ -489,7 +491,7 @@ def test_auto_never_selects_a_contract_changing_engine():
     class Custom(FastFiveColoring):
         pass
 
-    assert type(Custom()) not in WIDE_KERNELS
+    assert type(Custom()) not in KERNELS
     assert select_engine(Custom(), Cycle(5000), SynchronousScheduler()) == "fast"
     assert select_engine(
         alg, Cycle(5000), FiniteSchedule([{0, 1, 2}] * 5)

@@ -250,7 +250,7 @@ class TestStepsFast:
         """``steps_wide`` — the one-replica view of ``steps_batch`` that
         single plane-engine runs draw — replays ``steps`` too, whether
         its rows come as id sequences or boolean masks."""
-        from repro.model.batch import _row_to_ids
+        from repro.model.schedule import _row_to_ids
 
         def collect(iterator):
             try:
