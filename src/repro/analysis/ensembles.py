@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.verify import verify_execution
-from repro.model.execution import ensure_engine, run_execution
+from repro.model.execution import run_executions
 from repro.model.schedule import Schedule
 from repro.model.topology import Topology
 
@@ -146,16 +146,14 @@ def run_ensemble(
     cannot leak consumed steps or RNG state across runs — see
     :func:`_fresh_schedule`.  ``engine`` selects the execution engine
     for every run of the grid (see
-    :data:`repro.model.execution.ENGINES`); ``engine="batch"`` packs
-    the whole grid into one lockstep :func:`repro.model.batch.run_batch`
-    call (same aggregates, bit-identical per-run results; a
-    configuration no batched kernel covers runs per replica on the
-    fast engine inside ``run_batch``).  ``engine="auto"`` does the same
-    packing for multi-run grids (an ensemble is exactly the
-    replicas-many workload the batch engine exists for) and otherwise
-    defers to per-run adaptive selection.
+    :data:`repro.model.execution.ENGINES`) and packs it by the rule of
+    :func:`repro.model.execution.run_executions`: ``engine="batch"``,
+    or ``"auto"`` over more than one run, is one lockstep
+    :func:`repro.model.batch.run_batch` call (same aggregates,
+    bit-identical per-run results; a configuration no batched kernel
+    covers runs per replica on the fast engine inside ``run_batch``);
+    any other engine runs and folds one run at a time.
     """
-    ensure_engine(engine)
     maxima: List[float] = []
     means: List[float] = []
     colors: Dict[Any, int] = {}
@@ -170,28 +168,14 @@ def run_ensemble(
         for _label, schedule_entry in schedule_pairs
     ]
 
-    results: Iterable[Any]
-    if engine == "auto" and len(grid) > 1:
-        engine = "batch"
-    if engine == "batch":
-        from repro.model.batch import run_batch
-
-        results = run_batch(
-            [algorithm_factory() for _ in grid],
-            topology,
-            [list(inputs) for inputs, _ in grid],
-            [schedule for _, schedule in grid],
-            max_time=max_time,
-        )
-    else:
-        results = (
-            run_execution(
-                algorithm_factory(), topology, inputs, schedule,
-                max_time=max_time, engine=engine,
-            )
-            for inputs, schedule in grid
-        )
-
+    results = run_executions(
+        [algorithm_factory() for _ in grid],
+        topology,
+        [inputs for inputs, _ in grid],
+        [schedule for _, schedule in grid],
+        max_time=max_time,
+        engine=engine,
+    )
     for result in results:
         verdict = verify_execution(topology, result, palette=palette_list)
         runs += 1

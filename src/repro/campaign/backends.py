@@ -37,8 +37,9 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.campaign import worker
+from repro.campaign.registry import resolve_palette
 from repro.campaign.spec import TaskSpec
-from repro.campaign.worker import execute_task
 from repro.errors import CampaignError, PoolTaskError
 from repro.obs.metrics import active_registry
 from repro.obs.trace import (
@@ -141,7 +142,7 @@ class SequentialBackend(CampaignBackend):
                 while True:
                     attempts += 1
                     try:
-                        result = execute_task(task.to_dict())
+                        result = worker.execute_task(task.to_dict())
                     except Exception as exc:
                         if attempts > max_retries:
                             status = "failed"
@@ -182,28 +183,25 @@ class SequentialBackend(CampaignBackend):
 
 
 class BatchBackend(CampaignBackend):
-    """Batch-aware task packer: compatible tasks run in lockstep.
+    """Batch-aware task packer: compatible tasks run in one call.
 
-    Tasks whose engine is ``"batch"`` (or ``"auto"``, for which a
-    packed grid is the adaptive choice) are grouped by their batched-
-    kernel signature — ``(algorithm, topology, n, max_time)``; seeds,
-    input families and schedule types are free to differ within a
-    group (:func:`repro.model.batch.run_batch` merges heterogeneous
-    schedule streams itself).  Each group executes as *one* lockstep
-    call; every task still gets its own terminal record with its own
-    hash and :class:`~repro.campaign.worker.TaskResult` — bit-identical
-    to what per-run execution would journal, which is what keeps
-    ``--resume`` sound when a journal holds half of a former group
-    (the remainder simply re-packs into a smaller batch).  The group's
-    wall time is attributed evenly across its tasks.
+    Tasks are grouped by ``(algorithm, topology, n, max_time, engine)``
+    and each group is one :func:`~repro.campaign.worker.run_specs`
+    call, packed by :func:`~repro.model.execution.run_executions`'s
+    rule: a ``"batch"`` group, or an ``"auto"`` group of several tasks,
+    is *one* lockstep :func:`~repro.model.batch.run_batch` call; other
+    groups run per task, one result at a time.  Every task still gets
+    its own terminal record with its own hash and
+    :class:`~repro.campaign.worker.TaskResult` — bit-identical to what
+    per-run execution would journal, which is what keeps ``--resume``
+    sound when a journal holds half of a former group (the remainder
+    simply re-packs into a smaller batch).  A lockstep run's wall time
+    is attributed evenly across its tasks.
 
-    Tasks the packer cannot place — a different engine, or a group
-    that raised — fall back to per-task in-process execution with the
-    sequential backend's retry semantics.  A group no batched kernel
-    covers still runs as one call: ``run_batch`` runs its replicas on
-    the fast engine.  Like :class:`SequentialBackend`, this
-    backend runs in-process: ``task_timeout`` applies only to the
-    fallback path's documented (ignored) extent.
+    A group that raises falls back, from the task that raised on, to
+    per-task execution with the sequential backend's retry semantics.
+    Like :class:`SequentialBackend`, this backend runs in-process and
+    ignores ``task_timeout``.
     """
 
     name = "batch"
@@ -217,69 +215,51 @@ class BatchBackend(CampaignBackend):
         max_retries: int = 2,
         on_record: RecordSink,
     ) -> None:
-        from repro.campaign.registry import (
-            resolve_algorithm,
-            resolve_inputs,
-            resolve_palette,
-            resolve_schedule,
-            resolve_topology,
-        )
-        from repro.campaign.worker import task_result_from_execution
-        from repro.model.batch import run_batch
-
         registry = active_registry()
+        traced = active_recorder() is not None
         groups: Dict[Any, List[TaskSpec]] = {}
-        fallback: List[TaskSpec] = []
         for task in tasks:
-            # "auto" packs like "batch": a campaign grid is exactly the
-            # replicas-many workload the batch engine exists for.
-            if task.engine in ("batch", "auto"):
-                key = (task.algorithm, task.topology, task.n, task.max_time)
-                groups.setdefault(key, []).append(task)
-            else:
-                fallback.append(task)
+            key = (task.algorithm, task.topology, task.n, task.max_time,
+                   task.engine)
+            groups.setdefault(key, []).append(task)
 
+        fallback: List[TaskSpec] = []
         done = 0
-        total = len(tasks)
-        for key, group in groups.items():
+        for (algorithm, _, _, _, engine), group in groups.items():
             if registry is not None:
                 registry.set_gauge(
-                    "campaign_queue_depth", total - done, backend=self.name
+                    "campaign_queue_depth", len(tasks) - done, backend=self.name
                 )
-            algorithm_name, topology_name, n, max_time = key
-            started = time.perf_counter()
             try:
-                topology = resolve_topology(topology_name, n)
-                palette = resolve_palette(algorithm_name)
-                results = run_batch(
-                    [resolve_algorithm(t.algorithm)() for t in group],
-                    topology,
-                    [resolve_inputs(t.inputs, t.n, t.seed) for t in group],
-                    [
-                        resolve_schedule(
-                            t.schedule, seed=t.seed, **dict(t.schedule_params)
-                        )
-                        for t in group
-                    ],
-                    max_time=max_time,
-                )
+                started = time.perf_counter()
+                topology, results = worker.run_specs(group, engine)
+                # What the call itself took (resolution, and the whole
+                # lockstep run when it packed) is shared evenly; a
+                # per-task run adds its own time as it is drawn.
+                share = (time.perf_counter() - started) / len(group)
+                results = iter(results)
             except Exception:
                 fallback.extend(group)
                 continue
-            share = (time.perf_counter() - started) / max(1, len(group))
-            traced = active_recorder() is not None
-            for task, result in zip(group, results):
-                task_result = task_result_from_execution(
-                    task, topology, result, palette, elapsed=share
+            palette = resolve_palette(algorithm)
+            for i, task in enumerate(group):
+                drawn = time.perf_counter()
+                try:
+                    result = next(results)
+                except Exception:
+                    fallback.extend(group[i:])
+                    break
+                elapsed = share + time.perf_counter() - drawn
+                task_result = worker.task_result_from_execution(
+                    task, topology, result, palette, elapsed=elapsed
                 )
                 if traced:
                     # Each packed task keeps its own deterministic
-                    # root; the shared lockstep run is attributed
-                    # evenly, mirroring the journal's elapsed split.
+                    # root, spanning the time attributed to it.
                     record_complete(
                         "campaign.task",
                         deterministic_context(task.task_hash),
-                        time.time() - share, share,
+                        time.time() - elapsed, elapsed,
                         task_hash=task.task_hash, status="ok",
                         attempts=1, backend=self.name,
                         group_size=len(group),
@@ -291,7 +271,7 @@ class BatchBackend(CampaignBackend):
                         result=task_result.to_dict(),
                         error=None,
                         attempts=1,
-                        elapsed=share,
+                        elapsed=elapsed,
                         worker=None,
                     )
                 )

@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.analysis.verify import verify_execution
-from repro.campaign.registry import (
-    resolve_algorithm,
-    resolve_inputs,
-    resolve_palette,
-    resolve_schedule,
-    resolve_topology,
-)
+from repro.campaign import registry
 from repro.campaign.spec import TaskSpec
-from repro.model.execution import run_execution
+from repro.model.execution import ExecutionResult, run_executions
+from repro.model.topology import Topology
 from repro.obs.trace import start_span
 
-__all__ = ["TaskResult", "execute_task", "task_result_from_execution"]
+__all__ = [
+    "TaskResult",
+    "execute_task",
+    "run_specs",
+    "task_result_from_execution",
+]
 
 
 def _freeze_color(color: Any) -> Any:
@@ -140,6 +140,37 @@ def task_result_from_execution(
     )
 
 
+def run_specs(
+    specs: Sequence[Any], engine: str
+) -> Tuple[Topology, Iterable[ExecutionResult]]:
+    """Resolve run descriptions and run them: the one resolver.
+
+    ``specs`` are :class:`~repro.campaign.spec.TaskSpec`\\ s or
+    :class:`~repro.service.schema.ColorRequest`\\ s (same field names)
+    sharing ``topology``, ``n`` and ``max_time``; returns the topology,
+    resolved once, and :func:`~repro.model.execution.run_executions`'s
+    results in spec order.  The resolvers are read through the
+    :mod:`repro.campaign.registry` module at call time, so a wrapper
+    installed there sees every call.
+    """
+    first = specs[0]
+    topology = registry.resolve_topology(first.topology, first.n)
+    results = run_executions(
+        [registry.resolve_algorithm(s.algorithm)() for s in specs],
+        topology,
+        (registry.resolve_inputs(s.inputs, s.n, s.seed) for s in specs),
+        (
+            registry.resolve_schedule(
+                s.schedule, seed=s.seed, **dict(s.schedule_params)
+            )
+            for s in specs
+        ),
+        max_time=first.max_time,
+        engine=engine,
+    )
+    return topology, results
+
+
 def execute_task(task: Mapping[str, Any]) -> TaskResult:
     """Run one task description end to end and measure it.
 
@@ -156,19 +187,8 @@ def execute_task(task: Mapping[str, Any]) -> TaskResult:
         algorithm=spec.algorithm,
         engine=spec.engine,
     ):
-        algorithm = resolve_algorithm(spec.algorithm)()
-        topology = resolve_topology(spec.topology, spec.n)
-        inputs = resolve_inputs(spec.inputs, spec.n, spec.seed)
-        schedule = resolve_schedule(
-            spec.schedule, seed=spec.seed, **dict(spec.schedule_params)
-        )
-        palette = resolve_palette(spec.algorithm)
-
-        result = run_execution(
-            algorithm, topology, inputs, schedule,
-            max_time=spec.max_time, engine=spec.engine,
-        )
+        topology, (result,) = run_specs([spec], spec.engine)
     return task_result_from_execution(
-        spec, topology, result, palette,
+        spec, topology, result, registry.resolve_palette(spec.algorithm),
         elapsed=time.perf_counter() - started,
     )

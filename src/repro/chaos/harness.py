@@ -78,25 +78,10 @@ def default_plan(seed: int, *, pool: bool = False) -> FaultPlan:
 
 def _reference_response(request):
     """What the reference engine says this request's response must be."""
-    from repro.campaign.registry import (
-        resolve_algorithm,
-        resolve_inputs,
-        resolve_schedule,
-        resolve_topology,
-    )
-    from repro.model.execution import run_execution
+    from repro.campaign.worker import run_specs
     from repro.service.schema import ColorResponse
 
-    result = run_execution(
-        resolve_algorithm(request.algorithm)(),
-        resolve_topology(request.topology, request.n),
-        resolve_inputs(request.inputs, request.n, request.seed),
-        resolve_schedule(
-            request.schedule, seed=request.seed, **dict(request.schedule_params)
-        ),
-        max_time=request.max_time,
-        engine="reference",
-    )
+    _, (result,) = run_specs([request], "reference")
     return ColorResponse.from_execution(request, result, engine="reference")
 
 

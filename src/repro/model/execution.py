@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 from time import time as wall_clock
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
 from repro.errors import ExecutionError, TimeExhaustedError
 from repro.model.registers import RegisterFile
@@ -46,6 +46,7 @@ __all__ = [
     "ENGINES",
     "ensure_engine",
     "run_execution",
+    "run_executions",
     "time_exhausted_error",
 ]
 
@@ -475,4 +476,38 @@ def run_execution(
         max_time=max_time,
         monitors=monitors,
         raise_on_exhaustion=raise_on_exhaustion,
+    )
+
+
+def run_executions(
+    algorithms: Sequence[Any],
+    topology: Topology,
+    inputs_list: Iterable[Sequence[Any]],
+    schedules: Iterable[Schedule],
+    *,
+    max_time: int,
+    engine: str,
+) -> Iterable[ExecutionResult]:
+    """Run replicas of one configuration: the one packing rule.
+
+    ``engine="batch"``, or ``"auto"`` with more than one replica, is
+    one lockstep :func:`repro.model.batch.run_batch` call.  Any other
+    engine returns a lazy iterator running :func:`run_execution` per
+    replica as it is consumed, so a caller folding results holds one at
+    a time.  The engine name is validated at call time.
+    """
+    ensure_engine(engine)
+    if engine == "batch" or (engine == "auto" and len(algorithms) > 1):
+        from repro.model.batch import run_batch
+
+        return run_batch(
+            algorithms, topology, list(inputs_list), list(schedules),
+            max_time=max_time,
+        )
+    return (
+        run_execution(
+            algorithm, topology, inputs, schedule,
+            max_time=max_time, engine=engine,
+        )
+        for algorithm, inputs, schedule in zip(algorithms, inputs_list, schedules)
     )

@@ -32,8 +32,9 @@ Selection is *optimistic*: if the plane kernel declines the run after
 all, ``run_execution`` runs it on ``fast`` and counts the decline
 (``engine_fallback_total``), so a rule here never has to be perfectly
 tight to be safe.  Packing several runs into one ``batch`` call is
-not a selection rule: ensembles, the campaign batch backend and the
-service coalescer each decide that themselves.  The decision and its
+not a selection rule: it is the one rule of
+:func:`repro.model.execution.run_executions`, which every caller of
+several runs goes through.  The decision and its
 deciding rule are recorded in the shared metrics registry
 (``engine_auto_selected_total{engine=…,reason=…}``) so a campaign's
 engine mix is auditable after the fact.

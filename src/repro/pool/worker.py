@@ -20,12 +20,17 @@ registries inside the worker):
   in-process backends journal.
 * ``"group"`` — a list of service request configurations (the
   :meth:`~repro.service.schema.ColorRequest.config` shape, already
-  grouped by the coalescer's batch signature); runs them through the
-  same :func:`~repro.service.coalesce.execute_requests` helper the
-  thread executor uses and returns finished
+  grouped by the coalescer's batch signature); rebuilds them with
+  :meth:`~repro.service.schema.ColorRequest.build` (which re-validates)
+  and runs them through :func:`~repro.service.coalesce.execute_requests`,
+  the same call the thread executor makes, returning its verified
   :class:`~repro.service.schema.ColorResponse` dicts.  Verification
   happens *in the worker*, so the serving event loop never burns CPU
   on a pool-executed response.
+
+A worker exits on its own when its parent process dies (a SIGKILLed
+campaign or server cannot send the sentinel): it never outlives the
+pool that owns it.
 
 This module must stay importable without side effects and must not
 capture parent-process state beyond the registries and environment.
@@ -33,13 +38,12 @@ capture parent-process state beyond the registries and environment.
 
 from __future__ import annotations
 
+import os
 import time
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Mapping
 
 __all__ = [
-    "execute_group_payload",
     "pool_worker_main",
-    "request_from_config",
     "run_item",
     "run_item_traced",
 ]
@@ -58,56 +62,6 @@ def warm_imports() -> None:
     import repro.service.schema  # noqa: F401
 
 
-def request_from_config(config: Mapping[str, Any]):
-    """Rebuild (and re-validate) a ColorRequest from its config dict.
-
-    The inverse of :meth:`ColorRequest.config` — ``schedule_params``
-    arrive as ``[key, value]`` pairs after the JSON-shaped round trip.
-    """
-    from repro.service.schema import ColorRequest
-
-    return ColorRequest.build(
-        algorithm=config["algorithm"],
-        n=config["n"],
-        topology=config.get("topology", "cycle"),
-        inputs=config.get("inputs", "random"),
-        schedule=config.get("schedule", "sync"),
-        schedule_params={k: v for k, v in config.get("schedule_params", [])},
-        seed=config.get("seed", 0),
-        max_time=config.get("max_time", 200_000),
-    )
-
-
-def execute_group_payload(
-    configs: List[Mapping[str, Any]]
-) -> Dict[str, Any]:
-    """Run one coalesced service group and distill it into responses.
-
-    Mirrors the tail of :meth:`Coalescer._execute_group`: one lockstep
-    batch attempt with per-run fast-path fallback, group wall time
-    attributed evenly, responses verified here so only plain dicts
-    travel back to the event loop.
-    """
-    from repro.service.coalesce import execute_requests
-    from repro.service.schema import ColorResponse
-
-    requests = [request_from_config(config) for config in configs]
-    started = time.perf_counter()
-    results, engine = execute_requests(requests)
-    share = (time.perf_counter() - started) / max(1, len(requests))
-    responses = [
-        ColorResponse.from_execution(
-            request,
-            result,
-            engine=engine,
-            batch_size=len(requests),
-            elapsed=share,
-        ).to_dict()
-        for request, result in zip(requests, results)
-    ]
-    return {"engine": engine, "responses": responses}
-
-
 def run_item(kind: str, payload: Any) -> Any:
     """Execute one protocol item; the single dispatch point the
     recovery tests drive both in-process and through real workers."""
@@ -116,7 +70,16 @@ def run_item(kind: str, payload: Any) -> Any:
 
         return execute_task(payload).to_dict()
     if kind == "group":
-        return execute_group_payload(payload)
+        from repro.service.coalesce import execute_requests
+        from repro.service.schema import ColorRequest
+
+        responses, engine = execute_requests(
+            [ColorRequest.build(**config) for config in payload]
+        )
+        return {
+            "engine": engine,
+            "responses": [response.to_dict() for response in responses],
+        }
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
@@ -158,6 +121,31 @@ def run_item_traced(
     }
 
 
+def _exit_with_parent() -> None:
+    """Exit this worker as soon as its parent process dies.
+
+    A parent killed outright never sends the shutdown sentinel, and
+    the re-parented worker would block on its task queue forever.  The
+    parent's sentinel becomes ready when it dies, whatever the start
+    method; a daemon thread waits on it and ends the process.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(0)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
+
+
 def pool_worker_main(wid: int, task_q, result_q) -> None:
     """Worker loop: warm up once, then serve tasks until the sentinel.
 
@@ -175,6 +163,7 @@ def pool_worker_main(wid: int, task_q, result_q) -> None:
     """
     from repro.chaos.injector import ensure_worker_plan, maybe_fault
 
+    _exit_with_parent()
     warm_imports()
     plan = ensure_worker_plan(f"worker:{wid}")
     if plan is not None:
@@ -189,8 +178,6 @@ def pool_worker_main(wid: int, task_q, result_q) -> None:
         trace = message.get("trace")
         if plan is not None:
             if maybe_fault("pool.worker.crash") is not None:
-                import os
-
                 os._exit(57)
             decision = maybe_fault("pool.worker.hang")
             if decision is not None:

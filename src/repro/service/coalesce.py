@@ -14,11 +14,11 @@ The service's execution pipeline, between the cache and the engines:
    ``coalesce_window`` seconds for company, groups compatible requests
    by the same signature the campaign batch packer uses —
    ``(algorithm, topology, n, max_time)``; seeds, input families and
-   schedules are free to differ — and runs each group as *one*
-   lockstep :func:`repro.model.batch.run_batch` call.  Singleton
-   groups run through ``run_execution(engine="auto")``
-   (:mod:`repro.model.select`): a solo large-``n`` cold miss runs on
-   the node-vectorized wide engine, everything else on the fast path.
+   schedules are free to differ — and runs each group through
+   :func:`execute_requests`, the campaign's resolver under
+   ``engine="auto"``: a group is *one* lockstep
+   :func:`repro.model.batch.run_batch` call, a singleton runs through
+   ``run_execution(engine="auto")`` (:mod:`repro.model.select`).
    Whatever the plane kernels decline runs on the fast path inside
    the engines themselves.  Each response's ``engine`` is the engine
    that actually ran.  Either way the per-request results are
@@ -36,10 +36,11 @@ Executions are CPU-bound, so groups run on a thread-pool executor by
 default; when a :class:`~repro.pool.WorkerPool` is attached they run
 in warm worker *processes* instead, which is what lets a multi-core
 box serve cold misses faster than a single core (the thread executor
-is GIL-bound).  Either way the event loop stays free to serve cache
-hits, health checks and metric scrapes while a batch computes, and
-the per-request responses are bit-identical — the pool path is pinned
-against the in-process reference by the same equivalence tests.
+is GIL-bound).  Either way :func:`execute_requests` runs *and
+verifies* the group off the event loop, which stays free to serve
+cache hits, health checks and metric scrapes while a batch computes,
+and the per-request responses are bit-identical — the pool path is
+pinned against the in-process reference by the same equivalence tests.
 """
 
 from __future__ import annotations
@@ -72,60 +73,37 @@ __all__ = ["Coalescer", "execute_requests"]
 
 def execute_requests(
     requests: List[ColorRequest],
-) -> Tuple[List[Any], str]:
-    """Run one compatible group synchronously; returns (results, engine).
+) -> Tuple[List[ColorResponse], str]:
+    """Run and verify one compatible group; returns (responses, engine).
 
-    Pure and thread-safe (runs on executor threads): resolves fresh
-    algorithm/schedule objects per request, so no state leaks between
-    runs.  ``len(requests) > 1`` runs as one lockstep
-    :func:`~repro.model.batch.run_batch` call; a lone request runs
-    through ``run_execution(engine="auto")``.  The engine label is the
-    one that actually ran (``result.engine``): ``batch``, ``wide``, or
-    ``fast`` where selection picked it or the plane engine declined.
+    Pure and thread-safe: the thread executor and the pool worker's
+    ``"group"`` kind both call it.  The group runs through
+    :func:`~repro.campaign.worker.run_specs` under ``engine="auto"``;
+    each response's ``elapsed`` is an even share of the run time.  The
+    engine label is the one that actually ran (``result.engine``):
+    ``batch``, ``wide``, or ``fast`` where selection picked it or the
+    plane engine declined.
     """
-    from repro.campaign.registry import (
-        resolve_algorithm,
-        resolve_inputs,
-        resolve_schedule,
-        resolve_topology,
-    )
-    from repro.model.batch import run_batch
-    from repro.model.execution import run_execution
+    from repro.campaign.worker import run_specs
 
-    first = requests[0]
-    topology = resolve_topology(first.topology, first.n)
-    inputs_list = [
-        resolve_inputs(r.inputs, r.n, r.seed) for r in requests
-    ]
-    schedules = [
-        resolve_schedule(r.schedule, seed=r.seed, **dict(r.schedule_params))
-        for r in requests
-    ]
-    if len(requests) > 1:
-        results = run_batch(
-            [resolve_algorithm(r.algorithm)() for r in requests],
-            topology,
-            inputs_list,
-            schedules,
-            max_time=first.max_time,
+    started = perf_counter()
+    _, results = run_specs(requests, "auto")
+    results = list(results)
+    share = (perf_counter() - started) / len(requests)
+    engine = results[0].engine
+    responses = [
+        ColorResponse.from_execution(
+            request, result,
+            engine=engine, batch_size=len(requests), elapsed=share,
         )
-    else:
-        results = [
-            run_execution(
-                resolve_algorithm(first.algorithm)(),
-                topology,
-                inputs_list[0],
-                schedules[0],
-                max_time=first.max_time,
-                engine="auto",
-            )
-        ]
-    return results, results[0].engine
+        for request, result in zip(requests, results)
+    ]
+    return responses, engine
 
 
 def _execute_traced(
     requests: List[ColorRequest], ctx: Optional[TraceContext]
-) -> Tuple[List[Any], str]:
+) -> Tuple[List[ColorResponse], str]:
     """:func:`execute_requests` on an executor thread, under ``ctx``.
 
     Executor threads do not inherit the submitting task's contextvars,
@@ -135,9 +113,9 @@ def _execute_traced(
         return execute_requests(requests)
     with use_context(ctx):
         with start_span("service.execute") as sp:
-            results, engine = execute_requests(requests)
+            responses, engine = execute_requests(requests)
             sp.set_attribute("engine", engine)
-        return results, engine
+        return responses, engine
 
 
 @dataclass
@@ -435,10 +413,9 @@ class Coalescer:
                     ]
                 else:
                     loop = asyncio.get_event_loop()
-                    results, engine = await loop.run_in_executor(
+                    responses, engine = await loop.run_in_executor(
                         self._executor, _execute_traced, requests, batch_ctx
                     )
-                    responses = None
                 batch_span.set_attribute("engine", engine)
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
             for work in group:
@@ -452,18 +429,6 @@ class Coalescer:
             self.registry.observe("service_exec_seconds", elapsed)
         if len(group) > 1:
             self._inc("service_coalesced_requests_total", len(group))
-        if responses is None:
-            share = elapsed / len(group)
-            responses = [
-                ColorResponse.from_execution(
-                    work.request,
-                    result,
-                    engine=engine,
-                    batch_size=len(group),
-                    elapsed=share,
-                )
-                for work, result in zip(group, results)
-            ]
         for work, response in zip(group, responses):
             stored = response
             decision = maybe_fault("cache.bitflip", self.registry)

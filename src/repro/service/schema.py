@@ -125,13 +125,15 @@ class ColorRequest:
         seed: int = 0,
         max_time: int = 200_000,
     ) -> "ColorRequest":
+        """A validated request; also the inverse of :meth:`config`, so
+        ``schedule_params`` may be a mapping or ``[key, value]`` pairs."""
         request = cls(
             algorithm=algorithm,
             n=n,
             topology=topology,
             inputs=inputs,
             schedule=schedule,
-            schedule_params=tuple(sorted((schedule_params or {}).items())),
+            schedule_params=tuple(sorted(dict(schedule_params or {}).items())),
             seed=seed,
             max_time=max_time,
         )

@@ -90,8 +90,9 @@ class TestBatchRecordsMatchSequential:
             ), f"task {task_hash}: batch record diverged"
 
     def test_non_batch_engine_tasks_fall_back(self):
-        """A fast-engine spec through the batch backend: nothing packs,
-        everything still completes via the sequential fallback."""
+        """A fast-engine spec through the batch backend: nothing packs
+        into a lockstep call, every task runs on its own and the report
+        equals the sequential backend's."""
         spec = spec_with(engine="fast", seeds=[0])
         outcome = run_campaign(spec, backend=BatchBackend())
         reference = run_campaign(spec, backend=SequentialBackend())
