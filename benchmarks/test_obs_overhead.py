@@ -19,6 +19,7 @@ violations, and a deliberately tightened budget must be detected.
 """
 
 import json
+import math
 import statistics
 import time
 from pathlib import Path
@@ -51,6 +52,9 @@ ENGINE_ARTIFACT = REPO_ROOT / "BENCH_engine.json"
 #: path (plus a small absolute slack for timer noise on fast runs).
 MAX_OVERHEAD = 0.05
 ABS_SLACK = 0.005  # seconds
+
+#: Real kernel time one timed sample of the gate stands for (seconds).
+MIN_SAMPLE_S = 0.25
 
 
 def _best_of(fn, repeats=5):
@@ -103,41 +107,109 @@ def _paired_median_overhead(base_fn, over_fn, rounds=9):
     return base_out, over_out, statistics.median(base_times), diff, noise
 
 
+def _hook_pair():
+    """The disabled-mode hooks of ``FastExecutor.run``, isolated.
+
+    Timing whole runs puts the compiled kernel on both sides: its time
+    cancels in expectation, but its run-to-run spread (±15% per run on
+    a shared 2-vCPU host) swamps a 5% budget.  So the kernel runs once
+    for real, on Algorithm 3, ``C_10000``, sync, and is then replaced
+    by a stub returning that run's result: ``raw`` calls the stub directly and ``instrumented``
+    reaches it through ``run``'s hooks, so the paired difference is the
+    hooks' cost alone.  Returns ``(calls, kernel_s, raw, instrumented)``;
+    each side makes ``calls`` calls, enough real runs to take at least
+    ``MIN_SAMPLE_S``, so ``ABS_SLACK`` stays a small part of the budget.
+    """
+    n = 10_000
+    executor = FastExecutor(Cycle(n), FastFiveColoring(), monotone_ids(n))
+    kernel = executor._kernel
+    assert kernel is not None
+    result, kernel_s = _best_of(
+        lambda: kernel(SynchronousScheduler(), 100_000, 10_000), repeats=3
+    )
+    assert result.all_terminated
+    # The hooks must not change what the kernel computes: one real,
+    # un-stubbed run through them equals the raw kernel call.
+    assert executor.run(SynchronousScheduler(), max_time=100_000) == result
+    calls = max(1, math.ceil(MIN_SAMPLE_S / kernel_s))
+
+    def stub(schedule, max_time, idle_limit):
+        return result
+
+    executor._kernel = stub
+
+    def raw():
+        return [stub(SynchronousScheduler(), 100_000, 10_000) for _ in range(calls)]
+
+    def instrumented():
+        return [
+            executor.run(SynchronousScheduler(), max_time=100_000)
+            for _ in range(calls)
+        ]
+
+    return calls, kernel_s, raw, instrumented
+
+
+def _overhead_gate(calls, kernel_s, base_fn, over_fn):
+    """The disabled-mode budget on the paired median estimate: the extra
+    time of ``calls`` calls against 5% of as many real kernel runs.
+
+    Returns ``(base_out, over_out, diff, passed)``.
+    """
+    base_out, over_out, _base, diff, _noise = _paired_median_overhead(
+        base_fn, over_fn
+    )
+    budget = calls * kernel_s * MAX_OVERHEAD + ABS_SLACK
+    return base_out, over_out, diff, diff <= budget
+
+
 def test_disabled_instrumentation_overhead_within_5_percent():
     """``FastExecutor.run`` (hooks present, metrics *and tracing*
     disabled) vs the raw kernel call (no hooks at all) on the n=10000
     sync workload.  Since the tracing layer landed, the disabled path
     costs two module-global ``None`` checks (registry + recorder); the
-    5% budget binds on their sum."""
+    5% budget binds on their sum, estimated by the paired median."""
     assert active_registry() is None  # disabled is the default
     assert active_recorder() is None  # tracing disabled too
     assert active_plan() is None  # chaos injection disabled too
-    n = 10_000
-    ids = monotone_ids(n)
-    executor = FastExecutor(Cycle(n), FastFiveColoring(), ids)
-    assert executor._kernel is not None
-
-    baseline_result, baseline = _best_of(
-        lambda: executor._kernel(SynchronousScheduler(), 100_000, 10_000)
+    calls, kernel_s, raw, instrumented = _hook_pair()
+    _, instrumented_result, diff, passed = _overhead_gate(
+        calls, kernel_s, raw, instrumented
     )
-    instrumented_result, instrumented = _best_of(
-        lambda: executor.run(SynchronousScheduler(), max_time=100_000)
-    )
-    assert instrumented_result == baseline_result
-    assert instrumented_result.all_terminated
+    assert all(result.engine == "fast" for result in instrumented_result)
 
-    overhead = (instrumented - baseline) / baseline
+    overhead = diff / (calls * kernel_s)
     emit(
         "disabled-instrumentation overhead (n=10000 sync fast5)",
         [
-            {"path": "raw kernel", "wall [s]": round(baseline, 4)},
-            {"path": "instrumented entry", "wall [s]": round(instrumented, 4)},
-            {"path": "overhead", "wall [s]": round(instrumented - baseline, 4)},
+            {"path": "raw kernel run", "wall [s]": round(kernel_s, 4)},
+            {"path": "hooks per run (paired median)", "wall [s]": f"{diff / calls:.2e}"},
+            {"path": "overhead", "wall [s]": f"{overhead:.4%}"},
         ],
     )
-    assert instrumented <= baseline * (1 + MAX_OVERHEAD) + ABS_SLACK, (
+    assert passed, (
         f"disabled-mode instrumentation costs {overhead:.1%} "
         f"(> {MAX_OVERHEAD:.0%} budget)"
+    )
+
+
+def test_overhead_gate_catches_ten_percent():
+    """The gate above is not vacuous: the same estimator and bounds
+    fail the hooks once they cost 10% of a kernel run."""
+    calls, kernel_s, raw, instrumented = _hook_pair()
+    extra = 0.10 * calls * kernel_s
+
+    def slowed():
+        out = instrumented()
+        deadline = time.perf_counter() + extra
+        while time.perf_counter() < deadline:
+            pass
+        return out
+
+    _, _, diff, passed = _overhead_gate(calls, kernel_s, raw, slowed)
+    assert not passed, (
+        f"an injected 10% overhead passed the gate "
+        f"(estimated {diff / (calls * kernel_s):.1%})"
     )
 
 

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.analysis.verify import summarize
 from repro.core.coin_tossing import log_star
 from repro.model.execution import ExecutionResult
+from repro.model.topology import Topology
 from repro.types import ProcessId
 
 __all__ = [
@@ -86,17 +88,19 @@ class ActivationSummary:
 
 
 def summarize_activations(result: ExecutionResult) -> ActivationSummary:
-    """Summarize the activation counts of one execution."""
-    counts = sorted(result.activations.values())
+    """Summarize the activation counts of one execution, as counted by
+    :func:`summarize` (on an edgeless graph: the counts ignore edges)."""
+    edgeless = Topology({p: () for p in range(result.n)}, name="edgeless")
+    summary = summarize(edgeless, result)
+    counts = sorted(summary.activation_histogram.elements())
     n = len(counts)
-    mean = sum(counts) / n if n else 0.0
     p95 = counts[min(n - 1, int(math.ceil(0.95 * n)) - 1)] if n else 0.0
     return ActivationSummary(
         n=n,
         max=counts[-1] if counts else 0,
-        mean=mean,
+        mean=summary.mean_activation,
         p95=float(p95),
-        terminated=len(result.outputs),
+        terminated=summary.terminated_count,
     )
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.verify import verify_execution
+from repro.analysis.verify import summarize
 from repro.model.execution import run_executions
 from repro.model.schedule import Schedule
 from repro.model.topology import Topology
@@ -154,11 +155,6 @@ def run_ensemble(
     covers runs per replica on the fast engine inside ``run_batch``);
     any other engine runs and folds one run at a time.
     """
-    maxima: List[float] = []
-    means: List[float] = []
-    colors: Dict[Any, int] = {}
-    histogram: Dict[int, int] = {}
-    runs = terminated = proper = palette_ok = 0
     palette_list = list(palette) if palette is not None else None
 
     schedule_pairs = list(schedules)
@@ -176,27 +172,19 @@ def run_ensemble(
         max_time=max_time,
         engine=engine,
     )
-    for result in results:
-        verdict = verify_execution(topology, result, palette=palette_list)
-        runs += 1
-        terminated += result.all_terminated
-        proper += verdict.proper
-        palette_ok += verdict.palette_ok
-        counts = list(result.activations.values())
-        maxima.append(max(counts))
-        means.append(sum(counts) / len(counts))
-        for color in result.outputs.values():
-            colors[color] = colors.get(color, 0) + 1
-        for count in counts:
-            histogram[count] = histogram.get(count, 0) + 1
-
+    summaries = [summarize(topology, result, palette_list) for result in results]
+    colors: Counter = Counter()
+    histogram: Counter = Counter()
+    for summary in summaries:
+        colors.update(summary.colors)
+        histogram.update(summary.activation_histogram)
     return EnsembleReport(
-        runs=runs,
-        terminated_runs=terminated,
-        proper_runs=proper,
-        palette_ok_runs=palette_ok,
-        max_activations=Distribution.of(maxima),
-        mean_activations=Distribution.of(means),
-        colors_used=colors,
-        activation_histogram=histogram,
+        runs=len(summaries),
+        terminated_runs=sum(s.all_terminated for s in summaries),
+        proper_runs=sum(s.proper for s in summaries),
+        palette_ok_runs=sum(s.palette_ok for s in summaries),
+        max_activations=Distribution.of([s.round_complexity for s in summaries]),
+        mean_activations=Distribution.of([s.mean_activation for s in summaries]),
+        colors_used=dict(colors),
+        activation_histogram=dict(histogram),
     )

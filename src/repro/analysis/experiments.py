@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.complexity import summarize_activations
-from repro.analysis.verify import Verdict, inputs_properly_color, verify_execution
+from repro.analysis.verify import Verdict, inputs_properly_color, summarize
 from repro.errors import ReproError
 from repro.model.execution import run_execution
 from repro.model.schedule import Schedule
@@ -83,8 +82,7 @@ def run_trial(
     if require_proper_inputs and not inputs_properly_color(topology, inputs):
         raise ReproError("inputs do not properly color the topology")
     result = run_execution(algorithm, topology, inputs, schedule, max_time=max_time)
-    verdict = verify_execution(topology, result, palette=palette)
-    summary = summarize_activations(result)
+    summary = summarize(topology, result, palette)
     return TrialRecord(
         algorithm=getattr(algorithm, "name", type(algorithm).__name__),
         topology=topology.name,
@@ -92,11 +90,11 @@ def run_trial(
         scheduler=repr(schedule),
         inputs_label=inputs_label,
         seed=seed,
-        max_activations=summary.max,
-        mean_activations=summary.mean,
-        terminated=summary.terminated,
-        all_terminated=result.all_terminated,
-        verdict=verdict,
+        max_activations=summary.round_complexity,
+        mean_activations=summary.mean_activation,
+        terminated=summary.terminated_count,
+        all_terminated=summary.all_terminated,
+        verdict=summary,
     )
 
 

@@ -10,14 +10,18 @@ Each of Theorems 3.1, 3.11 and 4.4 promises, for every execution:
   the terminating processes* (crashed/starved processes impose no
   constraint).
 
-This module provides those predicates plus the execution-wide
-invariants used in Section 4's analysis, most importantly Lemma 4.5:
-at every time of every execution, the published identifiers ``X̂_p``
-form a proper coloring of the cycle.
+This module provides those predicates, and :func:`summarize`, the one
+place a finished execution becomes a verdict plus its activation and
+colour counts: the journal row, the service response, the ensemble
+fold and ``run --json`` all format its :class:`Summary`.  It also
+provides the execution-wide invariants used in Section 4's analysis,
+most importantly Lemma 4.5: at every time of every execution, the
+published identifiers ``X̂_p`` form a proper coloring of the cycle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,6 +39,8 @@ __all__ = [
     "inputs_properly_color",
     "Verdict",
     "verify_execution",
+    "Summary",
+    "summarize",
     "published_identifier_violations",
     "identifiers_always_proper",
 ]
@@ -129,6 +135,48 @@ def verify_execution(
         round_complexity=result.round_complexity,
         monochromatic_edges=mono,
         out_of_palette=bad_palette,
+    )
+
+
+@dataclass
+class Summary(Verdict):
+    """A :class:`Verdict` plus the counts every consumer reports.
+
+    ``ok`` stays the verdict's (termination is judged separately).  The
+    histograms map an activation count (resp. a colour) to its
+    number of processes, in first-seen order.  ``pending_activations``
+    maps each unreturned process to its activations, in pid order, when
+    the run hit ``max_time``; it is ``None`` otherwise.
+    """
+
+    total_activations: int = 0
+    mean_activation: float = 0.0
+    final_time: int = 0
+    activation_histogram: Dict[int, int] = field(default_factory=dict)
+    colors: Dict[Any, int] = field(default_factory=dict)
+    pending_activations: Optional[Dict[ProcessId, int]] = None
+
+
+def summarize(
+    topology: Topology,
+    result: ExecutionResult,
+    palette: Optional[Iterable[Any]] = None,
+) -> Summary:
+    """Verify one execution and count its activations and colours."""
+    histogram = Counter(result.activations.values())
+    total = sum(count * k for count, k in histogram.items())
+    return Summary(
+        **vars(verify_execution(topology, result, palette=palette)),
+        total_activations=total,
+        mean_activation=total / len(result.activations) if histogram else 0.0,
+        final_time=result.final_time,
+        activation_histogram=histogram,
+        colors=Counter(result.outputs.values()),
+        pending_activations=(
+            {p: result.activations.get(p, 0) for p in sorted(result.pending)}
+            if result.time_exhausted
+            else None
+        ),
     )
 
 

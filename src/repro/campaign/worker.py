@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.analysis.verify import verify_execution
+from repro.analysis.verify import summarize
 from repro.campaign import registry
 from repro.campaign.spec import TaskSpec
 from repro.model.execution import ExecutionResult, run_executions
@@ -66,18 +66,9 @@ class TaskResult:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "task_hash": self.task_hash,
-            "terminated": self.terminated,
-            "terminated_count": self.terminated_count,
-            "proper": self.proper,
-            "palette_ok": self.palette_ok,
-            "max_activation": self.max_activation,
-            "mean_activation": self.mean_activation,
-            "round_complexity": self.round_complexity,
-            "final_time": self.final_time,
+            **vars(self),
             "colors": [[c, k] for c, k in self.colors],
             "activation_histogram": [[a, k] for a, k in self.activation_histogram],
-            "elapsed": self.elapsed,
         }
 
     @classmethod
@@ -114,28 +105,19 @@ def task_result_from_execution(
     produce byte-identical result rows for the same execution, which
     is what keeps batched and per-run journals interchangeable.
     """
-    verdict = verify_execution(topology, result, palette=palette)
-
-    counts = list(result.activations.values())
-    colors: Dict[Any, int] = {}
-    for color in result.outputs.values():
-        colors[color] = colors.get(color, 0) + 1
-    histogram: Dict[int, int] = {}
-    for count in counts:
-        histogram[count] = histogram.get(count, 0) + 1
-
+    summary = summarize(topology, result, palette)
     return TaskResult(
         task_hash=spec.task_hash,
-        terminated=result.all_terminated,
-        terminated_count=len(result.outputs),
-        proper=verdict.proper,
-        palette_ok=verdict.palette_ok,
-        max_activation=float(max(counts)) if counts else 0.0,
-        mean_activation=(sum(counts) / len(counts)) if counts else 0.0,
-        round_complexity=result.round_complexity,
-        final_time=result.final_time,
-        colors=sorted(colors.items(), key=lambda kv: repr(kv[0])),
-        activation_histogram=sorted(histogram.items()),
+        terminated=summary.all_terminated,
+        terminated_count=summary.terminated_count,
+        proper=summary.proper,
+        palette_ok=summary.palette_ok,
+        max_activation=float(summary.round_complexity),
+        mean_activation=summary.mean_activation,
+        round_complexity=summary.round_complexity,
+        final_time=summary.final_time,
+        colors=sorted(summary.colors.items(), key=lambda kv: repr(kv[0])),
+        activation_histogram=sorted(summary.activation_histogram.items()),
         elapsed=elapsed,
     )
 

@@ -81,8 +81,10 @@ def _reference_response(request):
     from repro.campaign.worker import run_specs
     from repro.service.schema import ColorResponse
 
-    _, (result,) = run_specs([request], "reference")
-    return ColorResponse.from_execution(request, result, engine="reference")
+    topology, (result,) = run_specs([request], "reference")
+    return ColorResponse.from_execution(
+        request, result, engine="reference", topology=topology
+    )
 
 
 def run_service_chaos(

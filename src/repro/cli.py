@@ -30,10 +30,10 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.complexity import fit_linear, fit_logstar, summarize_activations
+from repro.analysis.complexity import fit_linear, fit_logstar
 from repro.analysis.experiments import format_table
 from repro.analysis.inputs import monotone_ids, random_distinct_ids, zigzag_ids
-from repro.analysis.verify import verify_execution
+from repro.analysis.verify import summarize, verify_execution
 from repro.campaign.registry import (
     ALGORITHMS as _ALGORITHMS,
     INPUT_FAMILIES as _INPUTS,
@@ -411,6 +411,7 @@ def _cmd_run(args) -> int:
     algorithm = _ALGORITHMS[args.algorithm]()
     inputs = _INPUTS[args.inputs](args.n, args.seed)
     schedule = _make_schedule(args.schedule, args.seed)
+    topology = Cycle(args.n)
     with ExitStack() as stack:
         registry = None
         if args.metrics != "off":
@@ -439,7 +440,7 @@ def _cmd_run(args) -> int:
                 )
             )
         result = run_execution(
-            algorithm, Cycle(args.n), inputs, schedule,
+            algorithm, topology, inputs, schedule,
             max_time=args.max_time, record_trace=args.timeline,
             engine=args.engine,
         )
@@ -448,14 +449,15 @@ def _cmd_run(args) -> int:
             args.trace_output, recorder,
             command="run", algorithm=args.algorithm, engine=args.engine,
         )
-    verdict = verify_execution(Cycle(args.n), result, palette=_PALETTES[args.algorithm])
-    ok = verdict.ok and result.all_terminated
+    summary = summarize(topology, result, _PALETTES[args.algorithm])
+    ok = summary.ok and summary.all_terminated
     if result.time_exhausted:
         # Satellite of the observability PR: a run cut off by max_time
         # is surfaced with its partial state, not a bare flag.
         print(f"warning: {time_exhausted_error(result)}", file=sys.stderr)
     if args.json:
-        counts = list(result.activations.values())
+        from repro.service.schema import summary_sections
+
         payload = {
             "algorithm": args.algorithm,
             "n": args.n,
@@ -464,33 +466,10 @@ def _cmd_run(args) -> int:
             "seed": args.seed,
             "engine": args.engine,
             "engine_used": result.engine,
-            "verdict": {
-                "ok": ok,
-                "all_terminated": result.all_terminated,
-                "terminated": len(result.outputs),
-                "proper": verdict.proper,
-                "palette_ok": verdict.palette_ok,
-            },
-            "activations": {
-                "round_complexity": result.round_complexity,
-                "total": sum(counts),
-                "max": max(counts) if counts else 0,
-                "mean": (sum(counts) / len(counts)) if counts else 0.0,
-                "final_time": result.final_time,
-            },
-            "colors_used": sorted(
-                {str(c) for c in result.outputs.values()}
-            ),
+            **summary_sections(summary),
         }
-        if result.time_exhausted:
-            payload["time_exhausted"] = {
-                "final_time": result.final_time,
-                "pending": sorted(result.pending),
-                "activations": {
-                    str(p): result.activations.get(p, 0)
-                    for p in sorted(result.pending)
-                },
-            }
+        if payload["time_exhausted"] is None:
+            del payload["time_exhausted"]
         if registry is not None and args.metrics == "json" and not args.metrics_output:
             payload["metrics"] = registry.snapshot()
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -499,9 +478,9 @@ def _cmd_run(args) -> int:
         return 0 if ok else 1
     print(f"algorithm : {algorithm.name}")
     print(f"schedule  : {schedule!r}")
-    print(f"terminated: {len(result.outputs)}/{args.n}")
-    print(f"rounds    : {result.round_complexity}")
-    print(f"proper    : {verdict.proper}   palette-ok: {verdict.palette_ok}")
+    print(f"terminated: {summary.terminated_count}/{args.n}")
+    print(f"rounds    : {summary.round_complexity}")
+    print(f"proper    : {summary.proper}   palette-ok: {summary.palette_ok}")
     print()
     print(render_cycle(inputs, result.outputs))
     print()
@@ -606,19 +585,21 @@ def _cmd_sweep(args) -> int:
     rows = []
     measured = []
     for n in ns:
+        topology = Cycle(n)
         result = run_execution(
-            algorithm_factory(), Cycle(n), monotone_ids(n), RoundRobinScheduler(),
+            algorithm_factory(), topology, monotone_ids(n), RoundRobinScheduler(),
         )
+        summary = summarize(topology, result)
         rows.append(
             {
                 "n": n,
                 "log*n": log_star(n),
-                "rounds": result.round_complexity,
-                "mean": round(summarize_activations(result).mean, 2),
-                "terminated": f"{len(result.outputs)}/{n}",
+                "rounds": summary.round_complexity,
+                "mean": round(summary.mean_activation, 2),
+                "terminated": f"{summary.terminated_count}/{n}",
             }
         )
-        measured.append(result.round_complexity)
+        measured.append(summary.round_complexity)
     print(format_table(rows))
     if len(ns) >= 3:
         c_lin, _ = fit_linear(ns, measured)

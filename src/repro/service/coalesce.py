@@ -26,11 +26,12 @@ The service's execution pipeline, between the cache and the engines:
    tests pin this against the reference engine.
 
 The coalescing window is *adaptive*: the batcher only holds a batch
-open while other admitted requests are actually pending.  The moment
-the pipeline is otherwise idle the batch flushes immediately, so
-coalescing never costs latency when there is nothing to coalesce —
-a lone cold request pays execution time, not execution time plus the
-window.
+open while every execution slot is running an earlier group — one slot
+per pool worker, one on the GIL-bound thread executor — so the batch
+could not start yet anyway.  A batch that could start at once flushes
+immediately, so coalescing never costs latency when there is nothing
+to wait for — a lone cold request pays execution time, not execution
+time plus the window.
 
 Executions are CPU-bound, so groups run on a thread-pool executor by
 default; when a :class:`~repro.pool.WorkerPool` is attached they run
@@ -87,7 +88,7 @@ def execute_requests(
     from repro.campaign.worker import run_specs
 
     started = perf_counter()
-    _, results = run_specs(requests, "auto")
+    topology, results = run_specs(requests, "auto")
     results = list(results)
     share = (perf_counter() - started) / len(requests)
     engine = results[0].engine
@@ -95,6 +96,7 @@ def execute_requests(
         ColorResponse.from_execution(
             request, result,
             engine=engine, batch_size=len(requests), elapsed=share,
+            topology=topology,
         )
         for request, result in zip(requests, results)
     ]
@@ -171,7 +173,7 @@ class Coalescer:
         # whatever loop the constructing thread had.
         self._queue: Optional["asyncio.Queue[_WorkItem]"] = None
         self._admitted = 0
-        self._executing = 0
+        self._running = 0  # groups dispatched and not yet finished
         self._idle: Optional[asyncio.Event] = None
         self._batcher: Optional[asyncio.Task] = None
         self._group_tasks: set = set()
@@ -241,12 +243,9 @@ class Coalescer:
 
     def _retire(self, count: int) -> None:
         self._admitted -= count
-        self._executing -= count
         if self._admitted <= 0:
             self._admitted = 0
             self._idle.set()
-        if self._executing < 0:
-            self._executing = 0
         if self.registry is not None:
             self.registry.set_gauge("service_queue_depth", self._admitted)
 
@@ -309,12 +308,16 @@ class Coalescer:
         return max(1.0, self.queue_limit / max(1, self.max_batch))
 
     # -- batcher -------------------------------------------------------
-    def _pending_elsewhere(self, batch_size: int) -> int:
-        """Admitted requests neither executing nor already in this
-        batch — i.e. still waiting in the queue.  Submissions enqueue
-        synchronously with admission, so zero here means the pipeline
-        is idle apart from this batch and the window can flush."""
-        return self._admitted - self._executing - batch_size
+    def _slots_busy(self) -> bool:
+        """Whether every execution slot is running a group: one per pool
+        worker, one on the thread executor (a second CPU-bound group
+        there would only share the GIL with the first)."""
+        slots = self.pool.workers if self.pool is not None else 1
+        return self._running >= slots
+
+    def _group_done(self, task: "asyncio.Task") -> None:
+        self._group_tasks.discard(task)
+        self._running -= 1
 
     async def _run(self) -> None:
         while True:
@@ -329,10 +332,10 @@ class Coalescer:
                         continue
                     except asyncio.QueueEmpty:
                         pass
-                    # Idle-flush: hold the window open only while other
-                    # admitted requests are on their way; a lone
-                    # request never waits for company that cannot come.
-                    if self._pending_elsewhere(len(batch)) <= 0:
+                    # Idle-flush: a batch that could execute now never
+                    # waits for company; one that would only queue
+                    # behind running groups holds the window open.
+                    if not self._slots_busy():
                         break
                     remaining = deadline - loop.time()
                     if remaining <= 0:
@@ -355,10 +358,10 @@ class Coalescer:
             for group in groups.values():
                 # Groups execute as independent tasks so the batcher
                 # keeps coalescing the next wave while they run.
-                self._executing += len(group)
                 task = asyncio.ensure_future(self._execute_group(group))
                 self._group_tasks.add(task)
-                task.add_done_callback(self._group_tasks.discard)
+                self._running += 1
+                task.add_done_callback(self._group_done)
 
     async def _execute_group(self, group: List[_WorkItem]) -> None:
         requests = [w.request for w in group]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.analysis.verify import Summary, summarize
 from repro.campaign.registry import (
     ALGORITHMS,
     INPUT_FAMILIES,
@@ -35,6 +36,7 @@ from repro.campaign.registry import (
 )
 from repro.campaign.spec import TaskSpec
 from repro.errors import RequestValidationError
+from repro.model.topology import Topology
 from repro.util.hashing import canonical_hash
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "MAX_TIME_CAP",
     "ColorRequest",
     "ColorResponse",
+    "summary_sections",
 ]
 
 #: Hard cap on the cycle size a single request may ask for — a serving
@@ -259,6 +262,33 @@ class ColorRequest:
         )
 
 
+def summary_sections(summary: Summary) -> Dict[str, Any]:
+    """A response's deterministic sections (``run --json`` prints them too)."""
+    pending = summary.pending_activations
+    return {
+        "verdict": {
+            "ok": summary.ok and summary.all_terminated,
+            "all_terminated": summary.all_terminated,
+            "terminated": summary.terminated_count,
+            "proper": summary.proper,
+            "palette_ok": summary.palette_ok,
+        },
+        "activations": {
+            "round_complexity": summary.round_complexity,
+            "total": summary.total_activations,
+            "max": summary.round_complexity,
+            "mean": summary.mean_activation,
+            "final_time": summary.final_time,
+        },
+        "colors_used": sorted({str(c) for c in summary.colors}),
+        "time_exhausted": None if pending is None else {
+            "final_time": summary.final_time,
+            "pending": list(pending),
+            "activations": {str(p): count for p, count in pending.items()},
+        },
+    }
+
+
 @dataclass
 class ColorResponse:
     """One served execution result, JSON-shaped.
@@ -300,54 +330,26 @@ class ColorResponse:
         engine: str,
         batch_size: int = 1,
         elapsed: float = 0.0,
+        topology: Optional[Topology] = None,
     ) -> "ColorResponse":
         """Verify one finished execution and distill it into a response.
 
-        Mirrors :func:`repro.campaign.worker.task_result_from_execution`
-        — same verification, same measurements — so a service response
-        and a campaign journal row for the same configuration agree.
+        ``topology`` is the request's resolved topology when the caller
+        already has it; it is resolved from the request otherwise.
         """
-        from repro.analysis.verify import verify_execution
         from repro.campaign.registry import resolve_palette, resolve_topology
 
-        topology = resolve_topology(request.topology, request.n)
-        verdict = verify_execution(
-            topology, result, palette=resolve_palette(request.algorithm)
-        )
-        counts = list(result.activations.values())
-        exhausted: Optional[Dict[str, Any]] = None
-        if result.time_exhausted:
-            exhausted = {
-                "final_time": result.final_time,
-                "pending": sorted(result.pending),
-                "activations": {
-                    str(p): result.activations.get(p, 0)
-                    for p in sorted(result.pending)
-                },
-            }
+        if topology is None:
+            topology = resolve_topology(request.topology, request.n)
+        summary = summarize(topology, result, resolve_palette(request.algorithm))
         response = cls(
             request_key=request.request_key,
             task_hash=request.task_spec(engine).task_hash,
             engine=engine,
             cached=False,
             batch_size=batch_size,
-            verdict={
-                "ok": verdict.ok and result.all_terminated,
-                "all_terminated": result.all_terminated,
-                "terminated": len(result.outputs),
-                "proper": verdict.proper,
-                "palette_ok": verdict.palette_ok,
-            },
-            activations={
-                "round_complexity": result.round_complexity,
-                "total": sum(counts),
-                "max": max(counts) if counts else 0,
-                "mean": (sum(counts) / len(counts)) if counts else 0.0,
-                "final_time": result.final_time,
-            },
-            colors_used=sorted({str(c) for c in result.outputs.values()}),
-            time_exhausted=exhausted,
             elapsed=elapsed,
+            **summary_sections(summary),
         )
         response.content_digest = response.compute_digest()
         return response
@@ -368,19 +370,7 @@ class ColorResponse:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "request_key": self.request_key,
-            "task_hash": self.task_hash,
-            "engine": self.engine,
-            "cached": self.cached,
-            "batch_size": self.batch_size,
-            "verdict": self.verdict,
-            "activations": self.activations,
-            "colors_used": self.colors_used,
-            "time_exhausted": self.time_exhausted,
-            "elapsed": self.elapsed,
-            "content_digest": self.content_digest,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ColorResponse":

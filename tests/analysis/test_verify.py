@@ -10,6 +10,7 @@ from repro.analysis.verify import (
     inputs_properly_color,
     palette_violations,
     published_identifier_violations,
+    summarize,
     verify_execution,
 )
 from repro.errors import ColoringViolation, PaletteViolation
@@ -91,6 +92,49 @@ class TestVerifyExecution:
         )
         verdict = verify_execution(Cycle(3), result)
         assert verdict.palette_ok  # vacuous without a palette
+
+
+class TestSummarize:
+    def _result(self, **overrides):
+        from repro.model.execution import ExecutionResult
+
+        fields = dict(
+            n=4,
+            outputs={0: 1, 1: 1, 2: 9},
+            activations={0: 3, 1: 2, 2: 5, 3: 2},
+            return_times={0: 3, 1: 2, 2: 6},
+            final_time=7,
+            time_exhausted=False,
+            trace=None,
+        )
+        fields.update(overrides)
+        return ExecutionResult(**fields)
+
+    def test_verdict_agrees_with_verify_execution(self):
+        result = self._result()
+        summary = summarize(Cycle(4), result, palette=range(5))
+        verdict = verify_execution(Cycle(4), result, palette=range(5))
+        assert (summary.proper, summary.palette_ok) == (False, False)
+        assert (summary.proper, summary.palette_ok) == (
+            verdict.proper, verdict.palette_ok,
+        )
+        assert summary.terminated_count == 3
+        assert not summary.all_terminated and not summary.ok
+
+    def test_counts(self):
+        summary = summarize(Cycle(4), self._result())
+        assert summary.round_complexity == 5
+        assert summary.total_activations == 12
+        assert summary.mean_activation == 3.0
+        assert summary.final_time == 7
+        # First-seen order, as the ensemble fold reports it.
+        assert list(summary.activation_histogram.items()) == [(3, 1), (2, 2), (5, 1)]
+        assert list(summary.colors.items()) == [(1, 2), (9, 1)]
+
+    def test_exhaustion_detail_only_when_cut_off(self):
+        assert summarize(Cycle(4), self._result()).pending_activations is None
+        summary = summarize(Cycle(4), self._result(time_exhausted=True))
+        assert summary.pending_activations == {3: 2}
 
 
 class TestIdentifierInvariant:

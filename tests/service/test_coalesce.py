@@ -215,6 +215,55 @@ class TestIdleFlush:
         assert all(r.batch_size == len(requests) for r in responses)
 
 
+    def test_window_holds_while_an_earlier_group_runs(self, monkeypatch):
+        """While the first group holds the thread executor's slot, the
+        next batch waits for a later arrival instead of flushing its
+        lone request.  The second request is taken by the batcher before
+        the third is submitted, so only the window can put them in one
+        group."""
+        import threading
+
+        release = threading.Event()
+        groups = []
+
+        def gated(requests):
+            groups.append(len(requests))
+            if len(groups) == 1:
+                release.wait(30)
+            return execute_requests(requests)
+
+        monkeypatch.setattr("repro.service.coalesce.execute_requests", gated)
+
+        async def scenario():
+            async with Coalescer(
+                queue_limit=8, max_batch=2, coalesce_window=30.0
+            ) as co:
+                try:
+                    first = asyncio.ensure_future(
+                        co.submit(bernoulli_request("fast5", 0))
+                    )
+                    while not groups:
+                        await asyncio.sleep(0.001)
+                    second = asyncio.ensure_future(
+                        co.submit(bernoulli_request("fast5", 1))
+                    )
+                    while co.depth < 2 or not co._queue.empty():
+                        await asyncio.sleep(0.001)
+                    third = asyncio.ensure_future(
+                        co.submit(bernoulli_request("fast5", 2))
+                    )
+                    later = await asyncio.wait_for(
+                        asyncio.gather(second, third), 10.0
+                    )
+                finally:
+                    release.set()
+                return [await first] + later
+
+        responses = asyncio.run(scenario())
+        assert groups == [1, 2]
+        assert [r.batch_size for r in responses] == [1, 2, 2]
+
+
 class TestSingleFlightDedup:
     def test_concurrent_identical_requests_compute_once(self, monkeypatch):
         calls = []

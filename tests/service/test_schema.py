@@ -185,6 +185,16 @@ class TestResponse:
         assert response.time_exhausted["final_time"] == 1
         assert response.time_exhausted["pending"]
 
+    @pytest.mark.parametrize("max_time", [200_000, 1])
+    def test_passed_topology_changes_nothing(self, max_time):
+        request = ColorRequest.build("fast5", 8, seed=1, max_time=max_time)
+        result = self._run(request)
+        resolved = ColorResponse.from_execution(request, result, engine="fast")
+        passed = ColorResponse.from_execution(
+            request, result, engine="fast", topology=Cycle(8)
+        )
+        assert passed.to_dict() == resolved.to_dict()
+
     def test_dict_round_trip(self):
         request = ColorRequest.build("fast5", 12, seed=4)
         response = ColorResponse.from_execution(

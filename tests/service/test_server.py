@@ -6,6 +6,7 @@ stdlib client — the same path ``repro-color serve`` + ``loadgen``
 exercise, minus the subprocess.
 """
 
+import asyncio
 import http.client
 import json
 
@@ -196,8 +197,47 @@ class TestTimeout:
 
 
 class TestCoalescingOverHTTP:
-    def test_concurrent_unique_requests_coalesce(self):
-        with ServerThread(coalesce_window=0.1, max_batch=16) as server:
+    def test_concurrent_unique_requests_coalesce(self, monkeypatch):
+        """The window holds a batch open while an earlier group runs.
+
+        The i-th submission reaches the coalescer 20·i ms after it
+        arrives, so no two of the eight are queued together and only
+        the window can group them.  The first group is held in
+        ``execute_requests`` until the coalescer has admitted all eight:
+        it keeps the thread executor's one slot busy, so the batch
+        behind it holds its 1 s window and collects the other seven on
+        any host.  A window that never held would run them as they
+        came, one group each.
+        """
+        import time
+
+        from repro.service import coalesce
+
+        real_execute = coalesce.execute_requests
+        groups = []
+
+        with ServerThread(coalesce_window=1.0, max_batch=16) as server:
+            def gated_execute(requests):
+                groups.append(len(requests))
+                if len(groups) == 1:
+                    deadline = time.monotonic() + 30.0
+                    while (
+                        server.coalescer.depth < 8
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.005)
+                return real_execute(requests)
+
+            monkeypatch.setattr(coalesce, "execute_requests", gated_execute)
+            submit = server.coalescer.submit
+            arrivals = []
+
+            async def staggered_submit(request):
+                arrivals.append(request)
+                await asyncio.sleep(0.02 * (len(arrivals) - 1))
+                return await submit(request)
+
+            server.coalescer.submit = staggered_submit
             summary = run_loadgen(
                 port=server.port,
                 requests=8,
@@ -208,11 +248,10 @@ class TestCoalescingOverHTTP:
             )
             assert summary["statuses"] == {"200": 8}
             assert summary["outcomes"]["errors"] == 0
-            # With all eight posted inside one 100 ms window, at least
-            # one lockstep batch must have formed.
             assert summary["outcomes"]["coalesced"] >= 2
             occupancy = server.registry.value("service_batch_occupancy")
             assert occupancy is not None and occupancy["max"] >= 2
+            assert len(groups) == 2 and sum(groups) == 8, groups
 
     def test_duplicate_burst_hits_cache(self):
         with ServerThread() as server:
