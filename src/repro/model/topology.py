@@ -49,11 +49,11 @@ class Topology:
         Human-readable label used in reprs and experiment reports.
 
     The constructor validates every node and freezes the adjacency into
-    a dict of tuples, O(n) time and memory.  :class:`Cycle` and
-    :class:`Path` skip it: their adjacency is arithmetic, so they store
-    only ``n`` and ``name`` and build this dict (through this
-    constructor) only when equality, hashing, shuffling or an induced
-    subgraph needs it.
+    a dict of tuples, O(n + m) time and memory for m edges.
+    :class:`Cycle` and :class:`Path` skip it: their adjacency is
+    arithmetic, so they store only ``n`` and ``name`` and build this
+    dict (through this constructor) only when equality, hashing,
+    shuffling or an induced subgraph needs it.
     """
 
     def __init__(self, neighbors: Dict[ProcessId, Sequence[ProcessId]], name: str = "graph"):
@@ -62,19 +62,19 @@ class Topology:
         ids = sorted(neighbors)
         if ids != list(range(len(ids))):
             raise TopologyError(f"process ids must be 0..n-1, got {ids[:10]}...")
-        frozen: Dict[ProcessId, Tuple[ProcessId, ...]] = {}
-        for p, nbrs in neighbors.items():
-            nbrs = tuple(nbrs)
-            if len(set(nbrs)) != len(nbrs):
+        frozen = {p: tuple(nbrs) for p, nbrs in neighbors.items()}
+        # One set per node makes the symmetry check O(1) per edge.
+        adjacent = {p: set(nbrs) for p, nbrs in frozen.items()}
+        for p, nbrs in frozen.items():
+            if len(adjacent[p]) != len(nbrs):
                 raise TopologyError(f"duplicate neighbor in adjacency of {p}")
             for q in nbrs:
                 if q == p:
                     raise TopologyError(f"self-loop at process {p}")
-                if q not in neighbors:
+                if q not in adjacent:
                     raise TopologyError(f"neighbor {q} of {p} is not a process")
-                if p not in neighbors[q]:
+                if p not in adjacent[q]:
                     raise TopologyError(f"asymmetric adjacency between {p} and {q}")
-            frozen[p] = nbrs
         self._neighbors = frozen
         self._n = len(ids)
         self.name = name

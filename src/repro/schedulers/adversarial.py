@@ -19,6 +19,7 @@ proofs identify as hard:
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Set
 
 from repro.errors import ScheduleError
@@ -126,7 +127,7 @@ class StaggeredScheduler(Schedule):
     """
 
     def __init__(self, stagger: int = 1, horizon: int = 10**9):
-        if stagger < 0:
+        if index(stagger) < 0:
             raise ScheduleError("stagger must be >= 0")
         self.stagger = stagger
         self.horizon = horizon

@@ -8,6 +8,7 @@ neighbor between two of its own steps) are most pronounced.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator
 
 from repro.errors import ScheduleError
@@ -22,7 +23,7 @@ class RoundRobinScheduler(Schedule):
     reusable = True  # (offset, horizon) immutable; state per call
 
     def __init__(self, offset: int = 0, horizon: int = 10**9):
-        self.offset = offset
+        self.offset = index(offset)  # TypeError now, not mid-run
         self.horizon = horizon
 
     def steps(self, n: int) -> Iterator[ActivationSet]:
@@ -49,10 +50,10 @@ class BlockRoundRobinScheduler(Schedule):
     reusable = True  # (k, offset, horizon) immutable; state per call
 
     def __init__(self, k: int, offset: int = 0, horizon: int = 10**9):
-        if k < 1:
+        if index(k) < 1:
             raise ScheduleError(f"block size must be >= 1, got {k}")
         self.k = k
-        self.offset = offset
+        self.offset = index(offset)
         self.horizon = horizon
 
     def steps(self, n: int) -> Iterator[ActivationSet]:

@@ -24,8 +24,9 @@ make it more than a curl loop:
   attempts histogram.  The default stays off so the deterministic
   shedding assertions in the test suite keep holding.
 
-Used by ``repro-color loadgen``, the CI smoke job, the chaos harness
-and the ``BENCH_service.json`` benchmark.
+Used by ``repro-color loadgen``, the CI smoke jobs, the chaos harness
+and the service and pool rows of the speed-bar harness
+(``benchmarks/test_speed_bars.py``).
 """
 
 from __future__ import annotations

@@ -33,13 +33,15 @@ from repro.campaign.registry import (
     INPUT_FAMILIES,
     SCHEDULERS,
     TOPOLOGIES,
+    resolve_schedule,
 )
 from repro.campaign.spec import TaskSpec
-from repro.errors import RequestValidationError
+from repro.errors import ReproError, RequestValidationError
 from repro.model.topology import Topology
 from repro.util.hashing import canonical_hash
 
 __all__ = [
+    "MAX_COMPLETE_N",
     "MAX_N",
     "MAX_TIME_CAP",
     "ColorRequest",
@@ -50,6 +52,11 @@ __all__ = [
 #: Hard cap on the cycle size a single request may ask for — a serving
 #: process must bound the memory and CPU one admission can consume.
 MAX_N = 65_536
+
+#: Hard cap on ``n`` for ``topology="complete"``: a step on K_n reads
+#: every register, so a run costs about n^3.  The slowest terminating
+#: request on K_112 takes about one second (see docs/SERVICE.md).
+MAX_COMPLETE_N = 112
 
 #: Hard cap on the simulated-time budget of one request.
 MAX_TIME_CAP = 10_000_000
@@ -191,6 +198,12 @@ class ColorRequest:
             raise RequestValidationError(
                 f"n must be in [3, {MAX_N}], got {self.n}", field="n"
             )
+        if self.topology == "complete" and self.n > MAX_COMPLETE_N:
+            raise RequestValidationError(
+                f"n must be in [3, {MAX_COMPLETE_N}] on topology 'complete', "
+                f"got {self.n}",
+                field="n",
+            )
         if not 1 <= self.max_time <= MAX_TIME_CAP:
             raise RequestValidationError(
                 f"max_time must be in [1, {MAX_TIME_CAP}], got {self.max_time}",
@@ -207,6 +220,15 @@ class ColorRequest:
                     f"schedule_params[{key!r}] must be a JSON scalar",
                     field="schedule_params",
                 )
+        # Build the schedule once, so a bad parameter is this request's
+        # 400 and not an error for every request coalesced with it.
+        try:
+            resolve_schedule(self.schedule, self.seed, **dict(self.schedule_params))
+        except (ReproError, TypeError, ValueError) as exc:
+            raise RequestValidationError(
+                f"schedule_params rejected by {self.schedule!r}: {exc}",
+                field="schedule_params",
+            ) from exc
 
     # -- identity ------------------------------------------------------
     def config(self) -> Dict[str, Any]:

@@ -28,6 +28,16 @@ def spec_with(algorithms, **overrides):
 
 
 @pytest.fixture
+def pool_backend():
+    """A two-worker pool backend, reaped when the test ends: a backend
+    keeps its pool warm until ``close``, and pools left to interpreter
+    exit outlive every later test in the session."""
+    backend = PoolBackend(workers=2)
+    yield backend
+    backend.close()
+
+
+@pytest.fixture
 def fault_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CAMPAIGN_FAULT_DIR", str(tmp_path))
     return tmp_path
@@ -72,12 +82,12 @@ class TestSequentialFaults:
 
 
 class TestPoolFaults:
-    def test_worker_crash_recovered(self, fault_dir):
+    def test_worker_crash_recovered(self, fault_dir, pool_backend):
         """A dying worker must not kill the campaign (requeue + respawn)."""
         outcome = run_campaign(
             spec_with(["tests.campaign.faulty:crash_once", "fast5"],
                       seeds=[0, 1]),
-            backend=PoolBackend(workers=2),
+            backend=pool_backend,
             task_timeout=30.0,
             max_retries=2,
         )
@@ -87,10 +97,10 @@ class TestPoolFaults:
         assert outcome.summary.retries >= 1
         assert outcome.all_ok
 
-    def test_hung_task_times_out_and_retries(self, fault_dir):
+    def test_hung_task_times_out_and_retries(self, fault_dir, pool_backend):
         outcome = run_campaign(
             spec_with(["tests.campaign.faulty:hang_once", "fast5"]),
-            backend=PoolBackend(workers=2),
+            backend=pool_backend,
             task_timeout=1.0,
             max_retries=2,
         )
@@ -99,10 +109,10 @@ class TestPoolFaults:
         assert outcome.summary.timeouts == 1
         assert outcome.all_ok
 
-    def test_raise_always_fails_terminally(self, fault_dir):
+    def test_raise_always_fails_terminally(self, fault_dir, pool_backend):
         outcome = run_campaign(
             spec_with(["tests.campaign.faulty:raise_always", "fast5"]),
-            backend=PoolBackend(workers=2),
+            backend=pool_backend,
             task_timeout=30.0,
             max_retries=1,
         )
@@ -110,12 +120,12 @@ class TestPoolFaults:
         assert outcome.summary.ok == 1
         assert not outcome.all_ok
 
-    def test_pool_matches_sequential_report(self):
+    def test_pool_matches_sequential_report(self, pool_backend):
         """Backends are execution strategies, not semantics: same report."""
         spec = spec_with(["fast5"], seeds=[0, 1, 2],
                          schedules=["sync", "bernoulli"])
         seq = run_campaign(spec, backend=SequentialBackend())
-        pool = run_campaign(spec, backend=PoolBackend(workers=2),
+        pool = run_campaign(spec, backend=pool_backend,
                             task_timeout=30.0)
         assert seq.report == pool.report
 

@@ -56,7 +56,7 @@ class TestLinearInChainLength:
 
     def test_monotone_ids_are_linear(self):
         rounds = {}
-        for n in (16, 32, 64, 128):
+        for n in (16, 32, 64, 128, 2000):
             result = run_execution(
                 FiveColoring(), Cycle(n), monotone_ids(n), SynchronousScheduler(),
             )
@@ -64,6 +64,8 @@ class TestLinearInChainLength:
         # Doubling n should roughly double the rounds on the monotone chain.
         assert rounds[128] >= 3 * rounds[16]
         assert rounds[128] >= 100
+        # The heaviest standard load: exactly n - 1 rounds on C_2000.
+        assert rounds[2000] == 1999
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lemma_3_14_bound_nonminima(self, seed):

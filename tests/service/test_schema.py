@@ -7,7 +7,13 @@ from repro.campaign.spec import TaskSpec
 from repro.model.execution import run_execution
 from repro.model.topology import Cycle
 from repro.schedulers import SynchronousScheduler
-from repro.service.schema import MAX_N, MAX_TIME_CAP, ColorRequest, ColorResponse
+from repro.service.schema import (
+    MAX_COMPLETE_N,
+    MAX_N,
+    MAX_TIME_CAP,
+    ColorRequest,
+    ColorResponse,
+)
 from repro.util.hashing import canonical_hash
 
 
@@ -88,6 +94,34 @@ class TestValidation:
     def test_valid_schedule_params(self):
         request = make(schedule="bernoulli", schedule_params={"p": 0.25})
         assert request.schedule_params == (("p", 0.25),)
+
+    @pytest.mark.parametrize(
+        "schedule,params",
+        [
+            ("bernoulli", {"p": 2.0}),
+            ("bernoulli", {"p": -1}),
+            ("bernoulli", {"p": "abc"}),
+            ("block-round-robin", {"k": 0}),
+            ("block-round-robin", {"k": 2.5}),
+            ("round-robin", {"offset": "x"}),
+            ("staggered", {"stagger": 1.5}),
+        ],
+    )
+    def test_schedule_params_the_schedule_rejects(self, schedule, params):
+        # Admitted, they would fail at execution with every request
+        # coalesced into the same group.
+        with pytest.raises(RequestValidationError) as excinfo:
+            make(schedule=schedule, schedule_params=params)
+        assert excinfo.value.field == "schedule_params"
+
+    def test_complete_graph_cap(self):
+        request = make(topology="complete", n=MAX_COMPLETE_N)
+        assert request.n == MAX_COMPLETE_N
+        with pytest.raises(RequestValidationError, match="complete") as excinfo:
+            make(topology="complete", n=MAX_COMPLETE_N + 1)
+        assert excinfo.value.field == "n"
+        # The cap is the complete graph's alone.
+        assert make(n=MAX_COMPLETE_N + 1).n == MAX_COMPLETE_N + 1
 
 
 class TestKeys:

@@ -102,6 +102,29 @@ class TestRoutes:
             with ServiceClient(port=server.port) as client:
                 assert client.healthz().body["status"] == "ok"
 
+    def test_bad_schedule_params_fail_alone(self):
+        """A request whose schedule cannot be built is refused at
+        admission (400), so a valid request sent inside the same
+        coalescing window still runs (200) instead of failing with it."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        good = {
+            "algorithm": "fast5", "n": 24, "schedule": "bernoulli",
+            "schedule_params": {"p": 0.5}, "seed": 1,
+        }
+        bad = dict(good, schedule_params={"p": 2.0}, seed=2)
+        with ServerThread(coalesce_window=0.5, max_batch=8) as server:
+            def send(body):
+                with ServiceClient(port=server.port) as client:
+                    return client.color(body)
+
+            with ThreadPoolExecutor(2) as pool:
+                ok, refused = pool.map(send, [good, bad])
+        assert ok.status == 200, ok.body
+        assert ok.body["verdict"]["ok"] is True
+        assert refused.status == 400, refused.body
+        assert refused.body["field"] == "schedule_params"
+
     def test_client_sends_schedule_params(self):
         # ColorRequest keeps schedule_params as sorted pairs; the wire
         # form the server validates is a JSON object.
