@@ -31,6 +31,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.inputs import monotone_ids, random_distinct_ids
+from repro.analysis.verify import summarize
 from repro.campaign import (
     CampaignSpec,
     PoolBackend,
@@ -149,6 +150,45 @@ def wide_c1e6() -> Legs:
     assert wide.activations == fast.activations
     activations = sum(fast.activations.values())
     return {engine: activations / seconds for engine, (_, seconds) in legs.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def summaries_c2048() -> Legs:
+    """96 seeds of fast5 on C_2048, random ids, Bernoulli(0.5), one batch:
+    ``summarize`` on the results' arrays, then on fresh results whose
+    array views are dropped, so it builds and reads their dicts (every
+    result's path before the array branch); best of 3; results/s.  The
+    summaries must be equal, key order included."""
+    n, seeds, palette = 2048, range(96), range(5)
+    topology = Cycle(n)
+
+    def fresh(array_views=True):
+        results = run_batch(
+            [FastFiveColoring() for _ in seeds], topology,
+            [random_distinct_ids(n, seed=seed) for seed in seeds],
+            [BernoulliScheduler(p=0.5, seed=seed) for seed in seeds],
+            max_time=MAX_TIME,
+        )
+        assert all(r.engine == "batch" and r.outputs.rows is not None
+                   for r in results)
+        if not array_views:
+            for result in results:
+                result.outputs.rows = result.activations.rows = None
+        return (results,)
+
+    def summaries(results):
+        return [summarize(topology, result, palette) for result in results]
+
+    arrays, arrays_s = best_of(summaries, fresh)
+    dicts, dicts_s = best_of(summaries, lambda: fresh(array_views=False))
+
+    def ordered(summary):
+        return [list(v.items()) if isinstance(v, dict) else v
+                for v in vars(summary).values()]
+
+    assert all(s.ok and s.all_terminated for s in dicts)
+    assert [ordered(s) for s in arrays] == [ordered(s) for s in dicts]
+    return {"dicts": len(seeds) / dicts_s, "arrays": len(seeds) / arrays_s}
 
 
 def sequential_rate(requests) -> float:
@@ -294,6 +334,8 @@ BARS = (
     Bar("batch-vs-fast", batch_c2048, "sequential fast", "batch", 5.0,
         "numpy", with_numpy),
     Bar("wide-vs-fast", wide_c1e6, "fast", "wide", 3.0, "numpy", with_numpy),
+    Bar("summarize-array-vs-dict", summaries_c2048, "dicts", "arrays", 4.0,
+        "numpy", with_numpy),
     Bar("pool-vs-thread", pool_serving, "thread executor", "pool", 1.8,
         ">= 2 CPUs", lambda legs: CPUS >= 2),
     Bar("service-cached", service_legs, "sequential", "cached", 5.0,

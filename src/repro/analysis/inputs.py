@@ -25,8 +25,10 @@ experiment suite needs controlled families:
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List, Optional
+import sys
+from typing import Dict, List, Optional
 
 __all__ = [
     "monotone_ids",
@@ -127,7 +129,10 @@ def random_distinct_ids(
 ) -> List[int]:
     """``n`` distinct identifiers drawn uniformly from ``[0, id_space)``.
 
-    Default space is ``n³`` (a poly(n) namespace as in §2.1).
+    Default space is ``n³`` (a poly(n) namespace as in §2.1).  The ids
+    are ``random.Random(seed).sample(range(space), n)``'s, draw for
+    draw; spaces of ``2**63`` and more, which ``sample`` cannot take,
+    follow its set branch (``randrange`` with repeats rejected) too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,7 +140,42 @@ def random_distinct_ids(
     if space < n:
         raise ValueError(f"id space {space} too small for {n} distinct ids")
     rng = random.Random(seed)
-    return rng.sample(range(space), n)
+    # sample's rule for its pool branch, verbatim.
+    if space <= 21 + (4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 0):
+        return rng.sample(range(space), n)
+    # Only a process that already runs numpy's MT19937 (the plane
+    # engine's Bernoulli streams) draws with it: importing numpy and
+    # numpy.random costs more memory and time than one draw saves.
+    np = None
+    if "numpy.random" in sys.modules:
+        from repro.model.batch import _mt_words, load_numpy
+
+        np = load_numpy()
+    k = space.bit_length()
+    if np is None or k > 64:
+        ids: Dict[int, None] = {}
+        while len(ids) < n:
+            ids[rng.randrange(space)] = None
+        return list(ids)
+    # randrange(space) is getrandbits(k) redrawn while >= space, and
+    # getrandbits takes one word >> (32 - k) for k <= 32, else a low
+    # word and a high word >> (64 - k).  Replay that over raw words,
+    # enough for the expected draws plus a margin (doubled if short).
+    draws = -math.log1p(-n / space) * (1 << k)
+    count = (2 if k > 32 else 1) * (int(draws * 1.1) + 64)
+    while True:
+        words = _mt_words(np, seed, count)
+        if k > 32:
+            pairs = words.astype(np.uint64).reshape(-1, 2)
+            words = pairs[:, 0] | (pairs[:, 1] >> (64 - k) << 32)
+        else:
+            words >>= 32 - k
+        drawn = words[words < space]
+        first = np.unique(drawn, return_index=True)[1]
+        if first.size >= n:
+            first.sort()
+            return drawn.take(first[:n]).tolist()
+        count *= 2
 
 
 def huge_ids(n: int, bits: int = 128, seed: int = 0) -> List[int]:

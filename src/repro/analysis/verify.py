@@ -123,9 +123,19 @@ def verify_execution(
     palette: Optional[Iterable[Any]] = None,
 ) -> Verdict:
     """Check one execution result against the paper's guarantees."""
+    return _verdict(topology, result, palette)[0]
+
+
+def _verdict(topology, result, palette) -> Tuple[Verdict, bool]:
+    """The verdict, and whether it was read off a plane result's arrays
+    (:func:`_plane_verdict`); the mappings decide everything else."""
+    allowed = None if palette is None else set(palette)
+    verdict = _plane_verdict(topology, result, allowed)
+    if verdict is not None:
+        return verdict, True
     mono = coloring_violations(topology, result.outputs)
     bad_palette = (
-        palette_violations(result.outputs, palette) if palette is not None else {}
+        palette_violations(result.outputs, allowed) if allowed is not None else {}
     )
     return Verdict(
         all_terminated=result.all_terminated,
@@ -135,7 +145,7 @@ def verify_execution(
         round_complexity=result.round_complexity,
         monochromatic_edges=mono,
         out_of_palette=bad_palette,
-    )
+    ), False
 
 
 @dataclass
@@ -162,22 +172,87 @@ def summarize(
     result: ExecutionResult,
     palette: Optional[Iterable[Any]] = None,
 ) -> Summary:
-    """Verify one execution and count its activations and colours."""
-    histogram = Counter(result.activations.values())
+    """Verify one execution and count its activations and colours; a
+    clean plane-engine result builds no dict on the way."""
+    verdict, on_arrays = _verdict(topology, result, palette)
+    if on_arrays:
+        undone, colours, pair = result.outputs.rows
+        colours = colours[~undone]
+        colors = _histogram(colours & 63 if pair else colours, pair)
+        histogram = _histogram(result.activations.rows, False)
+    else:
+        colors = Counter(result.outputs.values())
+        histogram = Counter(result.activations.values())
     total = sum(count * k for count, k in histogram.items())
     return Summary(
-        **vars(verify_execution(topology, result, palette=palette)),
+        **vars(verdict),
         total_activations=total,
-        mean_activation=total / len(result.activations) if histogram else 0.0,
+        mean_activation=total / sum(histogram.values()) if histogram else 0.0,
         final_time=result.final_time,
         activation_histogram=histogram,
-        colors=Counter(result.outputs.values()),
+        colors=colors,
         pending_activations=(
             {p: result.activations.get(p, 0) for p in sorted(result.pending)}
             if result.time_exhausted
             else None
         ),
     )
+
+
+def _plane_verdict(topology, result, allowed) -> Optional[Verdict]:
+    """A clean plane result's verdict, read off its lazy mappings' rows
+    and the topology's neighbour table (−1 = absent); ``None`` for a run
+    cut by ``max_time``, a table missing or not of ``result.n`` nodes, a
+    monochromatic edge or an out-of-palette colour (the dict path's
+    ``in`` test, looked up per storable value)."""
+    view = getattr(result.outputs, "rows", None)
+    acts = getattr(result.activations, "rows", None)
+    if view is None or acts is None or result.time_exhausted:
+        return None
+    from repro.model.kernels import _degree2_arrays
+
+    tables = _degree2_arrays(topology)
+    if tables is None or len(tables[0]) != result.n:
+        return None
+    import numpy as np
+
+    undone, colours, pair = view
+    colours = colours & 63 if pair else colours
+    done = ~undone
+    if allowed is not None:
+        values = range(64 if pair else 8)
+        lut = np.array([_decode(v, pair) in allowed for v in values])
+        if not lut.take(colours)[done].all():
+            return None
+    for table in tables:
+        q = np.asarray(table, dtype=np.int64)
+        same = colours.take(q) == colours
+        same &= done.take(q) & done & (q >= 0)
+        if same.any():
+            return None
+    returned = int(np.count_nonzero(done))
+    return Verdict(
+        all_terminated=returned == result.n, terminated_count=returned,
+        proper=True, palette_ok=True,
+        round_complexity=int(acts.max()) if acts.size else 0,
+    )
+
+
+def _decode(value: int, pair: bool) -> Any:
+    """The colour a plane stores as ``value`` (pair: ``a << 3 | b``)."""
+    return (value >> 3 & 7, value & 7) if pair else value
+
+
+def _histogram(row, pair: bool) -> Counter:
+    """``Counter`` of a row's decoded values, in first-seen order."""
+    import numpy as np
+
+    values, first, counts = np.unique(
+        row, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    keys, counts = values.take(order).tolist(), counts.take(order).tolist()
+    return Counter({_decode(k, pair): c for k, c in zip(keys, counts)})
 
 
 # ----------------------------------------------------------------------

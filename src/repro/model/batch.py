@@ -133,6 +133,25 @@ def _mt_state(seed) -> Tuple[Any, int]:
     return np.asarray(words[:624], dtype=np.uint32), words[624]
 
 
+def _mt_words(np, seed, count: int):
+    """The first ``count`` ``getrandbits(32)`` of ``random.Random(seed)``
+    as uint32: a full-range ``randint`` takes one MT19937 word each.
+
+    The state is expanded afresh: one draw per seed is the common case,
+    and the memo would keep 512 keys alive in every process that draws.
+    """
+    pool = MTBatch._pool
+    try:
+        stream = pool.pop()
+    except IndexError:
+        stream = np.random.RandomState(0)
+    stream.set_state(("MT19937", *_mt_state.__wrapped__(seed)))
+    words = stream.randint(0, 1 << 32, size=count, dtype=np.uint32)
+    if len(pool) < 256:
+        pool.append(stream)
+    return words
+
+
 class MTBatch:
     """A bank of ``B`` CPython-identical Mersenne Twister streams.
 
@@ -509,19 +528,23 @@ class _LazyMapping(_MappingABC):
     dicts works in both directions: ``dict.__eq__`` returns
     ``NotImplemented`` for a non-dict operand, handing control to this
     class, which materializes and compares values — exactly what the
-    differential harness exercises.
+    differential harness exercises.  ``rows``, the plane rows the
+    builder reads (or ``None``), lets ``summarize`` and
+    ``record_execution`` count without building the dict; it goes with
+    the builder.
     """
 
-    __slots__ = ("_build", "_states")
+    __slots__ = ("_build", "_states", "rows")
 
-    def __init__(self, build: Callable[[], Dict[int, Any]]):
+    def __init__(self, build: Callable[[], Dict[int, Any]], rows: Any = None):
         self._build = build
         self._states: Optional[Dict[int, Any]] = None
+        self.rows = rows
 
     def _materialize(self) -> Dict[int, Any]:
         if self._states is None:
             self._states = self._build()
-            self._build = None
+            self._build = self.rows = None
         return self._states
 
     def __getitem__(self, key):
@@ -825,7 +848,9 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
         for bi in range(B):
             # Every result mapping materializes lazily: consumers
             # typically read one or two of them (often none), and the
-            # rows stay alive inside the closures either way.
+            # rows stay alive inside the closures either way.  The
+            # outputs' rows are (not-returned, colour or packed state,
+            # pair).
             def build_outputs(bi=bi):
                 pret = np.flatnonzero(~undone[bi, :n])
                 colors = OUT[bi].take(pret)
@@ -860,8 +885,10 @@ def _plane_runner(np, n, nb1, nb2, init_x, *, pair, reduction, green_light,
 
             results.append(ExecutionResult(
                 n=n,
-                outputs=_LazyMapping(build_outputs),
-                activations=_LazyMapping(build_activations),
+                outputs=_LazyMapping(
+                    build_outputs, (undone[bi, :n], OUT[bi, :n], pair)
+                ),
+                activations=_LazyMapping(build_activations, ACT[bi, :n]),
                 return_times=_LazyMapping(build_return_times),
                 final_time=times[bi],
                 time_exhausted=exhausted[bi],

@@ -316,17 +316,19 @@ def record_execution(
     histogram when provided.
     """
     labels = {"engine": engine, "algorithm": algorithm}
+    # Count a plane result's lazy mappings on their rows, not dicts.
+    acts = getattr(result.activations, "rows", None)
+    outs = getattr(result.outputs, "rows", None)
+    total = sum(result.activations.values()) if acts is None else int(acts.sum())
+    rounds = result.round_complexity if acts is None else int(acts.max(initial=0))
+    returns = len(result.outputs) if outs is None else result.n - int(outs[0].sum())
     registry.inc("engine_runs_total", 1, **labels)
     registry.inc("engine_steps_total", result.final_time, **labels)
-    registry.inc(
-        "engine_activations_total", sum(result.activations.values()), **labels
-    )
-    registry.inc("engine_returns_total", len(result.outputs), **labels)
+    registry.inc("engine_activations_total", total, **labels)
+    registry.inc("engine_returns_total", returns, **labels)
     registry.inc(
         "engine_time_exhausted_total", int(result.time_exhausted), **labels
     )
-    registry.set_gauge(
-        "engine_last_round_complexity", result.round_complexity, **labels
-    )
+    registry.set_gauge("engine_last_round_complexity", rounds, **labels)
     if elapsed is not None:
         registry.observe("engine_run_seconds", elapsed, **labels)

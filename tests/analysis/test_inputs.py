@@ -1,5 +1,10 @@
 """Unit tests for identifier generators (repro.analysis.inputs)."""
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +19,7 @@ from repro.analysis.inputs import (
     zigzag_ids,
 )
 from repro.analysis.verify import inputs_properly_color
+from repro.model.batch import NUMPY_ENV_FLAG, numpy_accelerated
 from repro.model.topology import Cycle
 
 
@@ -79,6 +85,93 @@ class TestRandomDistinct:
     def test_space_too_small(self):
         with pytest.raises(ValueError):
             random_distinct_ids(10, id_space=5)
+
+
+@pytest.fixture(params=["numpy", "scalar"])
+def tier(request, monkeypatch):
+    """Run a test with numpy's generator loaded, when numpy is
+    installed, and without numpy."""
+    if request.param == "numpy":
+        if not numpy_accelerated():
+            pytest.skip("numpy is not installed or disabled")
+        pytest.importorskip("numpy.random")
+    else:
+        monkeypatch.setenv(NUMPY_ENV_FLAG, "1")
+    return request.param
+
+
+def set_branch_replay(seed, space, n):
+    """``random.sample``'s set branch without ``len``: ``randrange`` with
+    repeats rejected."""
+    rng = random.Random(seed)
+    ids, seen = [], set()
+    while len(ids) < n:
+        x = rng.randrange(space)
+        if x not in seen:
+            seen.add(x)
+            ids.append(x)
+    return ids
+
+
+class TestRandomDistinctExact:
+    """``random_distinct_ids`` is ``random.Random(seed).sample`` draw for
+    draw on both tiers, compared against the running interpreter."""
+
+    SEEDS = (0, 1, 2**32 + 7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 2048, 20000])
+    @pytest.mark.parametrize(
+        "space", [2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**63 - 1]
+    )
+    def test_word_boundaries(self, tier, space, n):
+        for seed in self.SEEDS:
+            want = random.Random(seed).sample(range(space), n)
+            assert random_distinct_ids(n, seed=seed, id_space=space) == want
+
+    @pytest.mark.parametrize("n", [1, 9, 2048])
+    def test_default_space(self, tier, n):
+        for seed in self.SEEDS:
+            want = random.Random(seed).sample(range(max(n**3, 8)), n)
+            assert random_distinct_ids(n, seed=seed) == want
+
+    @pytest.mark.parametrize(
+        "n,space",
+        # sample's pool branch serves space <= 21 + 4**ceil(log4(3n))
+        # (21 for n <= 5): each pair straddles or sits on that bound.
+        [(1, 8), (3, 21), (3, 22), (5, 5), (9, 85), (9, 86),
+         (2048, 2048), (2048, 16405), (2048, 16406), (20000, 65557)],
+    )
+    def test_pool_branch_and_its_bound(self, tier, n, space):
+        for seed in self.SEEDS:
+            want = random.Random(seed).sample(range(space), n)
+            assert random_distinct_ids(n, seed=seed, id_space=space) == want
+
+    @pytest.mark.parametrize("space", [2**63, 2**64 - 1, 2**64, 2**70])
+    def test_spaces_sample_cannot_take(self, tier, space):
+        with pytest.raises(OverflowError):
+            random.Random(0).sample(range(space), 1)
+        for seed in self.SEEDS:
+            ids = random_distinct_ids(5, seed=seed, id_space=space)
+            assert len(set(ids)) == 5 and all(0 <= x < space for x in ids)
+            assert ids == set_branch_replay(seed, space, 5)
+
+    def test_draw_does_not_import_numpy(self):
+        """A process that has not loaded numpy's generator draws on the
+        scalar tier, and loads neither numpy nor the plane engine."""
+        code = (
+            "import sys\n"
+            "from repro.analysis.inputs import random_distinct_ids\n"
+            "random_distinct_ids(1024, seed=3)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'repro.model.batch' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_replay_is_samples_set_branch(self):
+        assert set_branch_replay(3, 2**40, 50) == random.Random(3).sample(
+            range(2**40), 50
+        )
 
 
 class TestHugeIds:
